@@ -259,13 +259,7 @@ def cmd_control(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     base = os.path.splitext(args.out)[0]
-    traj_like = type("T", (), {})()
-    traj_like.times = result.times
-    traj_like.head = result.head
-    traj_like.node1 = result.node1
-    traj_like.node2 = result.node2
-    traj_like.omega = result.omega
-    _atomic_write(args.out, trajectory_csv(traj_like))
+    _atomic_write(args.out, trajectory_csv(result))
     write_control_log(base + "_control_log.jsonl", result.log)
     err_lines = ["t,error"]
     err_lines += [f"{t:.17g},{e:.17g}" for t, e in zip(result.times, result.tracking_error)]

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, hydro
 from .elastic import ElasticStiffnesses, RestConfiguration
 from .geometry import GeometryError, polyline_distance
 from .params import PhysicalParameters
 from .rod import build_initial_configuration
-from .stepper import StepControls, step
+from .stepper import NewtonDivergenceError, SimulationError, StepControls, step
 
 
 def compute_t_app(beta_desired: float, beta: float, l_desired: float, l: float,
@@ -330,7 +330,8 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     Runs until the schedule is exhausted with no waypoints left (the
     controller emits zero and the robot stops) or max_duration elapses.
     Tracking error is the distance from the head to the waypoint polyline at
-    every observation instant.
+    every observation instant. A Newton or hydrodynamic solve failure is
+    raised as SimulationError naming the simulated time.
     """
     controls = controls or StepControls()
     dt_sim = controls.time_step if controls.time_step is not None else params.time_step
@@ -361,8 +362,11 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     zero_streak = 0
     for obs_i in range(n_obs):
         w = controller.omega_at(obs_i)
-        for s_i in range(steps_per_obs):
-            state, _ = step(state, rest, stiff, params, w, controls, workspace)
+        for _ in range(steps_per_obs):
+            try:
+                state, _ = step(state, rest, stiff, params, w, controls, workspace)
+            except (NewtonDivergenceError, hydro.HydroSolveError) as exc:
+                raise SimulationError(f"step at t={state.time:.6f}s: {exc}") from exc
         t_now = (obs_i + 1) * dt_obs
         times.append(t_now)
         head.append(state.positions[0].copy())

@@ -3,8 +3,16 @@
 Energies follow the standard discrete-rod forms: per-edge stretching,
 curvature-binormal bending at internal nodes, and reference-twist-corrected
 twisting. Forces are negative energy gradients on the interleaved DOF
-vector; the Jacobian is the negated energy Hessian. Natural (stress-free)
-strains are recorded from the as-built configuration.
+vector [x_0, theta^0, x_1, theta^1, ..., x_{N-1}]; the Jacobian is the
+negated energy Hessian. Natural (stress-free) strains are recorded from the
+as-built configuration.
+
+Each bend/twist term touches the 11 consecutive DOFs
+[x_{i-1}, theta^{i-1}, x_i, theta^i, x_{i+1}], so the Hessian has
+bandwidth 10 (BANDWIDTH). The Jacobian is assembled straight into LAPACK
+general band storage, the (3*BANDWIDTH + 1, 4N-1) array that gbsv takes
+with kl = ku = BANDWIDTH: entry a[i, j] sits at [2*BANDWIDTH + i - j, j],
+and the top BANDWIDTH rows are left zero for the LU fill-in.
 """
 
 from __future__ import annotations
@@ -14,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .params import PhysicalParameters
 from .rod import (
     RodState,
@@ -26,11 +33,6 @@ from .rod import (
     unpack_dofs,
     update_reference_twist,
 )
-
-# Compiled kernels carry the inner loops; the numpy implementation below is
-# the reference the kernels are tested against and the fallback without numba.
-USE_COMPILED_KERNELS = _kernels.AVAILABLE
-
 
 class DegenerateEdgeError(ValueError):
     """An edge collapsed below the minimum resolvable length."""
@@ -383,8 +385,22 @@ def _bend_twist_hessians(tangents, lengths, m1, m2, grad_kappa, grad_tau, aux, r
 
 _INDEX_CACHE: dict[int, dict[str, np.ndarray]] = {}
 
+BANDWIDTH = 10  # the 11-DOF bend/twist stencil couples DOFs at most 10 apart
+BAND_ROWS = 3 * BANDWIDTH + 1  # gbsv storage: kl = ku = BANDWIDTH plus kl LU fill rows
+DIAG_ROW = 2 * BANDWIDTH  # band row of the main diagonal
+
+
+def _band_flat(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """Flat indices of a[rows, cols] in (BAND_ROWS, d) band storage."""
+    return (DIAG_ROW + rows - cols) * d + cols
+
 
 def _dof_indices(n: int) -> dict[str, np.ndarray]:
+    """Scatter indices of the per-element blocks, stretch edges first.
+
+    "grad" indexes the (4N-1,) DOF vector; "band" indexes the raveled
+    (BAND_ROWS, 4N-1) band storage, a[i, j] -> ab[DIAG_ROW + i - j, j].
+    """
     cached = _INDEX_CACHE.get(n)
     if cached is not None:
         return cached
@@ -393,18 +409,39 @@ def _dof_indices(n: int) -> dict[str, np.ndarray]:
     stretch = np.empty((n - 1, 6), dtype=np.intp)
     stretch[:, 0:3] = 4 * stretch_nodes[:, None] + np.arange(3)
     stretch[:, 3:6] = 4 * (stretch_nodes + 1)[:, None] + np.arange(3)
-    springs = np.arange(n - 2)
-    stencil = 4 * springs[:, None] + np.arange(11)
-    stretch_flat = stretch[:, :, None] * d + stretch[:, None, :]
-    stencil_flat = stencil[:, :, None] * d + stencil[:, None, :]
+    stencil = 4 * np.arange(n - 2)[:, None] + np.arange(11)
     cached = {
-        "stretch": stretch,
-        "stencil": stencil,
-        "stretch_flat": stretch_flat.ravel(),
-        "stencil_flat": stencil_flat.ravel(),
+        "grad": np.concatenate([stretch.ravel(), stencil.ravel()]),
+        "band": np.concatenate([
+            _band_flat(stretch[:, :, None], stretch[:, None, :], d).ravel(),
+            _band_flat(stencil[:, :, None], stencil[:, None, :], d).ravel(),
+        ]),
     }
     _INDEX_CACHE[n] = cached
     return cached
+
+
+def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every entry with |i - j| <= BANDWIDTH."""
+    return np.nonzero(np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= BANDWIDTH)
+
+
+def band_from_dense(a: np.ndarray) -> np.ndarray:
+    """Copy the |i - j| <= BANDWIDTH part of a square matrix into band storage."""
+    d = a.shape[0]
+    i, j = _band_pairs(d)
+    ab = np.zeros((BAND_ROWS, d))
+    ab[DIAG_ROW + i - j, j] = a[i, j]
+    return ab
+
+
+def dense_from_band(ab: np.ndarray) -> np.ndarray:
+    """Expand band storage back to the square matrix it holds."""
+    d = ab.shape[1]
+    i, j = _band_pairs(d)
+    a = np.zeros((d, d))
+    a[i, j] = ab[DIAG_ROW + i - j, j]
+    return a
 
 
 def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
@@ -413,36 +450,13 @@ def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
     """Elastic force at a candidate configuration.
 
     Frames are transported from the committed previous configuration, so the
-    result is a pure function of (positions, thetas) given that anchor.
-    Returns ElasticEval, or (ElasticEval, jacobian) when with_jacobian; the
-    Jacobian can also be obtained later via jacobian_from_eval.
+    result is a pure function of (positions, thetas) given that anchor. The
+    per-edge stretch and per-node bend/twist gradients are summed onto the
+    (4N-1,) DOF vector with one bincount, stretch entries first. Returns
+    ElasticEval, or (ElasticEval, jacobian) when with_jacobian, the Jacobian
+    in the band storage of jacobian_from_eval, which can also be called later.
     """
     n = positions.shape[0]
-    if USE_COMPILED_KERNELS:
-        (ok, lengths, tangents, d1, d2, ref_twist, m1, m2, grad, energy,
-         aux) = _kernels.geometry_and_gradient(
-            positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-            rest.edge_lengths, rest.voronoi_lengths, rest.kappa, rest.twist,
-            stiff.stretching, stiff.bending, stiff.twisting, rest.min_edge,
-        )
-        if not ok:
-            raise DegenerateEdgeError(
-                f"edge length below {rest.min_edge:.3e} m during evaluation"
-            )
-        result = ElasticEval(
-            force=-grad,
-            energy=energy,
-            tangents=tangents,
-            d1=d1,
-            d2=d2,
-            ref_twist=ref_twist,
-            edge_lengths=lengths,
-            _cache={"kernel_aux": aux, "m1": m1, "m2": m2, "n": n},
-        )
-        if not with_jacobian:
-            return result
-        return result, jacobian_from_eval(result, rest, stiff)
-
     lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
         positions, thetas, prev_d1, prev_tangents, prev_ref_twist, rest.min_edge
     )
@@ -452,10 +466,8 @@ def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
     gbt, grad_kappa, grad_tau, aux = _bend_twist_gradients(
         tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff
     )
-
-    grad = np.zeros(4 * n - 1)
-    np.add.at(grad, idx["stretch"], gs)
-    np.add.at(grad, idx["stencil"], gbt)
+    grad = np.bincount(idx["grad"], weights=np.concatenate([gs.ravel(), gbt.ravel()]),
+                       minlength=4 * n - 1)
 
     strain = lengths / rest.edge_lengths - 1.0
     energy = 0.5 * stiff.stretching * np.sum(strain ** 2 * rest.edge_lengths)
@@ -479,28 +491,28 @@ def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
     return result, jacobian_from_eval(result, rest, stiff)
 
 
+def _symmetrized(h: np.ndarray) -> np.ndarray:
+    return 0.5 * (h + np.swapaxes(h, 1, 2))
+
+
 def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
                        stiff: ElasticStiffnesses) -> np.ndarray:
-    """Elastic force Jacobian assembled from a cached evaluation."""
+    """Elastic force Jacobian from a cached evaluation, in LAPACK band storage.
+
+    The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
+    apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbsv takes
+    with kl = ku = BANDWIDTH: a[i, j] sits at [DIAG_ROW + i - j, j], and the
+    first BANDWIDTH rows are zero (LU fill-in space). The per-element Hessian
+    blocks are symmetrized before one bincount sums them into the band.
+    """
     c = ev._cache
-    n = c["n"]
-    if "kernel_aux" in c:
-        hess = _kernels.hessian_dense(
-            ev.edge_lengths, ev.tangents, c["m1"], c["m2"], c["kernel_aux"],
-            rest.edge_lengths, rest.voronoi_lengths, rest.kappa, rest.twist,
-            stiff.stretching, stiff.bending, stiff.twisting, 4 * n - 1,
-        )
-        return -hess
-    idx = c["idx"]
+    d = 4 * c["n"] - 1
     hs = _stretch_hessians(ev.tangents, ev.edge_lengths, rest, stiff)
     hbt = _bend_twist_hessians(ev.tangents, ev.edge_lengths, c["m1"], c["m2"],
                                c["grad_kappa"], c["grad_tau"], c["aux"], rest, stiff)
-    hess = np.zeros((4 * n - 1) ** 2)
-    np.add.at(hess, idx["stretch_flat"], hs.ravel())
-    np.add.at(hess, idx["stencil_flat"], hbt.ravel())
-    hess = hess.reshape(4 * n - 1, 4 * n - 1)
-    hess = 0.5 * (hess + hess.T)
-    return -hess
+    weights = np.concatenate([_symmetrized(hs).ravel(), _symmetrized(hbt).ravel()])
+    hess = np.bincount(c["idx"]["band"], weights=weights, minlength=BAND_ROWS * d)
+    return -hess.reshape(BAND_ROWS, d)
 
 
 def internal_force(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses) -> np.ndarray:
@@ -514,12 +526,12 @@ def internal_force(state: RodState, rest: RestConfiguration, stiff: ElasticStiff
 
 def internal_force_jacobian(state: RodState, rest: RestConfiguration,
                             stiff: ElasticStiffnesses) -> np.ndarray:
-    """d(force)/d(q) at a committed state; symmetric (negated energy Hessian)."""
+    """Dense d(force)/d(q) at a committed state; symmetric (negated energy Hessian)."""
     _, jac = evaluate_elastics(
         state.positions, state.thetas, state.ref_d1, state.tangents, state.ref_twist,
         rest, stiff, with_jacobian=True,
     )
-    return jac
+    return dense_from_band(jac)
 
 
 def internal_force_jacobian_fd(positions, thetas, anchor_d1, anchor_tangents,

@@ -110,13 +110,13 @@ def solve_flagellar_forces(mobility: MobilityOperator, u_f: np.ndarray) -> np.nd
 
 def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
                       head_spin: np.ndarray, head_radius: float,
-                      model: str = "printed") -> np.ndarray:
+                      model: str = "classical") -> np.ndarray:
     """Flow along the filament induced by the moving head.
 
     r_h: (n, 3) node positions relative to the head center. The default
-    "printed" model applies the rotational term (b^3/r^3)(r x Omega) and the
-    bracketed translational tensor verbatim; "classical" substitutes the
-    standard no-slip translating/rotating sphere solution.
+    "classical" model is the standard no-slip translating/rotating sphere
+    solution; "printed" applies the rotational term (b^3/r^3)(r x Omega) and
+    the bracketed translational tensor verbatim.
     """
     r = np.linalg.norm(r_h, axis=1)
     if np.any(r <= 0.0):

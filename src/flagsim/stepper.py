@@ -16,9 +16,12 @@ from scipy.linalg import get_lapack_funcs
 
 from . import hydro
 from .elastic import (
+    BANDWIDTH,
+    DIAG_ROW,
     DegenerateEdgeError,
     ElasticStiffnesses,
     RestConfiguration,
+    band_from_dense,
     evaluate_elastics,
     internal_force_jacobian_fd,
     jacobian_from_eval,
@@ -214,7 +217,9 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     q_new[3] = q_old[3] + omega * dt
 
     inertia = mass / dt ** 2
-    dgesv = get_lapack_funcs(("gesv",), (q_old,))[0]
+    dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
+    # Band positions of row 3 (a[3, j], |3 - j| <= BANDWIDTH) for the pin.
+    row3_cols = np.arange(min(3 + BANDWIDTH + 1, 4 * n - 1))
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
@@ -237,23 +242,23 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
             break
         if controls.fd_jacobian:
             pos_new, th_new = unpack_dofs(q_new)
-            jac_el = internal_force_jacobian_fd(
+            jac_el = band_from_dense(internal_force_jacobian_fd(
                 pos_new, th_new, state.ref_d1, state.tangents, state.ref_twist,
                 rest, stiff, 1e-7 * params.axial_length,
-            )
+            ))
         else:
             jac_el = jacobian_from_eval(ev, rest, stiff)
         jac = -jac_el
-        jac[np.diag_indices_from(jac)] += inertia
+        jac[DIAG_ROW] += inertia
         # Pin the constrained twist DOF: unit row/column, zero residual.
-        jac[3, :] = 0.0
+        jac[DIAG_ROW + 3 - row3_cols, row3_cols] = 0.0
         jac[:, 3] = 0.0
-        jac[3, 3] = 1.0
+        jac[DIAG_ROW, 3] = 1.0
         rhs = residual.copy()
         rhs[3] = 0.0
-        _, _, dq, info = dgesv(jac, rhs, overwrite_a=1, overwrite_b=1)
+        _, _, dq, info = dgbsv(BANDWIDTH, BANDWIDTH, jac, rhs, overwrite_ab=1, overwrite_b=1)
         if info != 0:
-            raise NewtonDivergenceError(f"singular Newton system (dgesv info={info})", diag)
+            raise NewtonDivergenceError(f"singular Newton system (dgbsv info={info})", diag)
 
         # Backtracking on the residual norm.
         alpha = 1.0

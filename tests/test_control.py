@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import flagsim.control
+from flagsim import desk_parameters, hydro
 from flagsim.control import (
     ControlConfig,
     ControlInput,
@@ -10,7 +12,9 @@ from flagsim.control import (
     InverseMaps,
     WaypointQueue,
     compute_t_app,
+    run_closed_loop,
 )
+from flagsim.stepper import NewtonDivergenceError, SimulationError, StepDiagnostics
 
 
 def t_app_scan_oracle(beta_d, beta, l_d, l, omega_rpm, cruise):
@@ -290,3 +294,29 @@ def test_query_clamped_outside_hull():
     assert clamped
     _, _, clamped = maps.timing(0.5, 0.5)
     assert not clamped
+
+
+@pytest.mark.parametrize("error", [
+    NewtonDivergenceError("Newton stalled", StepDiagnostics()),
+    hydro.HydroSolveError("nodes closer than the cutoff"),
+])
+def test_closed_loop_solver_failure_is_simulation_error(monkeypatch, error):
+    # run_closed_loop steps on its own; a solver failure there must reach the
+    # CLI as SimulationError (exit 2), not escape as a traceback
+    params = desk_parameters(node_count=16, time_step=0.005)
+    calls = []
+
+    def failing_step(state, *args, **kwargs):
+        calls.append(state.time)
+        if len(calls) == 3:
+            raise error
+        out = state.copy()
+        out.time = state.time + params.time_step
+        return out, StepDiagnostics()
+
+    monkeypatch.setattr(flagsim.control, "step", failing_step)
+    waypoints = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
+    with pytest.raises(SimulationError, match=r"t=0\.010000s") as info:
+        run_closed_loop(params, LinearMaps(), waypoints, make_config(), max_duration=1.0)
+    assert info.value.__cause__ is error
+    assert len(calls) == 3

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import flagsim.elastic as elastic
 from flagsim import build_initial_configuration, paper_parameters
 from flagsim.elastic import (
     DegenerateEdgeError,
@@ -220,21 +219,3 @@ def test_degenerate_edge_rejected(perturbed, small_built):
     state.positions[4] = state.positions[5]
     with pytest.raises(DegenerateEdgeError):
         internal_force(state, rest, stiff)
-
-
-def test_kernel_path_matches_numpy_path(perturbed, small_built):
-    _, _, rest, stiff = small_built
-    state = perturbed
-    if not elastic.USE_COMPILED_KERNELS:
-        pytest.skip("compiled kernels unavailable")
-    args = (state.positions, state.thetas, state.ref_d1, state.tangents,
-            state.ref_twist, rest, stiff)
-    ev_fast, jac_fast = evaluate_elastics(*args, with_jacobian=True)
-    elastic.USE_COMPILED_KERNELS = False
-    try:
-        ev_ref, jac_ref = evaluate_elastics(*args, with_jacobian=True)
-    finally:
-        elastic.USE_COMPILED_KERNELS = True
-    assert np.allclose(ev_fast.force, ev_ref.force, atol=1e-12, rtol=1e-12)
-    assert abs(ev_fast.energy - ev_ref.energy) <= 1e-12 * max(abs(ev_ref.energy), 1.0)
-    assert np.allclose(jac_fast, jac_ref, atol=1e-9, rtol=1e-9)
