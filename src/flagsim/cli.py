@@ -1,9 +1,9 @@
 """Command-line surface: simulate, gen-data, train, control, eval.
 
 File formats: JSON for configs/models/logs, CSV for numeric series. Writes
-are atomic (temp file then rename); a numerical failure flushes the partial
-output with a marker and exits 2. Exit codes: 0 success, 1 input error,
-2 numerical failure.
+are atomic (temp file then rename). A numerical failure (SimulationError)
+prints "numerical failure: ..." to stderr, exits 2 and writes no output
+file. Exit codes: 0 success, 1 input error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,12 +119,8 @@ def _load_profile(path, fallback_rpm: float) -> AngularVelocityProfile:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.preset, seed=args.seed)
     profile = _load_profile(args.profile, cfg.control.omega_low_rpm)
-    try:
-        traj = simulate(cfg.physical, profile, args.duration,
-                        cfg.control.observation_interval, controls=cfg.solver)
-    except SimulationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    traj = simulate(cfg.physical, profile, args.duration,
+                    cfg.control.observation_interval, controls=cfg.solver)
     _atomic_write(args.out, trajectory_csv(traj))
     print(f"wrote {args.out} ({traj.times.shape[0]} samples)")
     return 0
@@ -145,20 +142,16 @@ def cmd_gen_data(args) -> int:
         segments_per_trajectory=int(raw.get("segments_per_trajectory", 8)),
         seed=int(raw.get("seed", cfg.seed)),
     )
-    try:
-        out = generate_dataset(
-            cfg.physical, spec,
-            omega_low=cfg.control.omega_low,
-            omega_high=cfg.control.omega_high,
-            omega_buckling=cfg.control.omega_buckling_rpm * 2 * math.pi / 60.0,
-            controls=cfg.solver,
-            dt_obs=cfg.control.observation_interval,
-            k=cfg.control.history_length,
-            workers=args.workers,
-        )
-    except SimulationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    out = generate_dataset(
+        cfg.physical, spec,
+        omega_low=cfg.control.omega_low,
+        omega_high=cfg.control.omega_high,
+        omega_buckling=cfg.control.omega_buckling_rpm * 2 * math.pi / 60.0,
+        controls=cfg.solver,
+        dt_obs=cfg.control.observation_interval,
+        k=cfg.control.history_length,
+        workers=args.workers,
+    )
     _atomic_write(args.out, dataset_csv(out.datapoints))
     meta = {
         "cruise_speed_m_s": out.cruise_speed,
@@ -250,14 +243,9 @@ def cmd_control(args) -> int:
         return 1
     control_cfg = cfg.control
     if calib.get("cruise_speed_m_s"):
-        from dataclasses import replace
         control_cfg = replace(control_cfg, cruise_speed=float(calib["cruise_speed_m_s"]))
-    try:
-        result = run_closed_loop(cfg.physical, maps, waypoints, control_cfg,
-                                 controls=cfg.solver, max_duration=args.max_duration)
-    except SimulationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    result = run_closed_loop(cfg.physical, maps, waypoints, control_cfg,
+                             controls=cfg.solver, max_duration=args.max_duration)
     base = os.path.splitext(args.out)[0]
     _atomic_write(args.out, trajectory_csv(result))
     write_control_log(base + "_control_log.jsonl", result.log)

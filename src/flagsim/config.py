@@ -7,8 +7,7 @@ the file format. Unknown keys are rejected.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, replace
 
 from .control import ControlConfig
 from .params import PhysicalParameters, desk_parameters, paper_parameters
@@ -27,41 +26,13 @@ class RunConfig:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        phys = {
-            "axial_length_m": self.physical.axial_length,
-            "pitch_m": self.physical.pitch,
-            "helix_radius_m": self.physical.helix_radius,
-            "rod_radius_m": self.physical.rod_radius,
-            "youngs_modulus_pa": self.physical.youngs_modulus,
-            "poisson_ratio": self.physical.poisson_ratio,
-            "head_radius_m": self.physical.head_radius,
-            "viscosity_pa_s": self.physical.viscosity,
-            "density_kg_m3": self.physical.density,
-            "node_count": self.physical.node_count,
-            "time_step_s": self.physical.time_step,
-        }
-        solver = {
-            "newton_tol": self.solver.newton_tol,
-            "max_newton_iters": self.solver.max_newton_iters,
-            "fd_jacobian": self.solver.fd_jacobian,
-            "head_flow_model": self.solver.head_flow_model,
-            "mobility_floor": self.solver.mobility_floor,
-            "mobility_refresh": self.solver.mobility_refresh,
-        }
-        control = {
-            "omega_low_rpm": self.control.omega_low_rpm,
-            "omega_high_rpm": self.control.omega_high_rpm,
-            "omega_buckling_rpm": self.control.omega_buckling_rpm,
-            "linearity_threshold_m2": self.control.linearity_threshold,
-            "history_length": self.control.history_length,
-            "observation_interval_s": self.control.observation_interval,
-            "startup_time_s": self.control.startup_time,
-            "cruise_speed_m_s": self.control.cruise_speed,
-            "min_pulse_s": self.control.min_pulse,
-            "straight_threshold_deg": self.control.straight_threshold_deg,
-        }
-        return {"physical": phys, "solver": solver, "control": control,
-                "seed": self.seed}
+        sections = (("physical", self.physical, _PHYS_KEYS),
+                    ("solver", self.solver, _SOLVER_KEYS),
+                    ("control", self.control, _CONTROL_KEYS))
+        out = {name: {file_key: getattr(obj, attr) for file_key, attr in keymap.items()}
+               for name, obj, keymap in sections}
+        out["seed"] = self.seed
+        return out
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -106,7 +77,7 @@ _CONTROL_KEYS = {
 }
 
 
-def _parse_section(data: dict, keymap: dict, section: str, base=None) -> dict:
+def _parse_section(data: dict, keymap: dict, section: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
     unknown = set(data) - set(keymap)
@@ -159,8 +130,6 @@ def load_config(path=None, preset_name: str = "desk", overrides: dict | None = N
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "preset" in data:
         base = preset(data["preset"])
-
-    from dataclasses import replace
 
     phys_kwargs = _parse_section(data.get("physical", {}), _PHYS_KEYS, "physical")
     solver_kwargs = _parse_section(data.get("solver", {}), _SOLVER_KEYS, "solver")

@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry, hydro
-from .elastic import ElasticStiffnesses, RestConfiguration
+from . import geometry
 from .geometry import GeometryError, polyline_distance
 from .params import PhysicalParameters
+from .stepper import Integrator, StepControls
+
+# Unused here (Integrator steps the closed loop), but bench/tracer.py replaces
+# both attributes of this module by name and fails without them.
 from .rod import build_initial_configuration
-from .stepper import NewtonDivergenceError, SimulationError, StepControls, step
+from .stepper import step
 
 
 def compute_t_app(beta_desired: float, beta: float, l_desired: float, l: float,
@@ -330,43 +333,33 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     Runs until the schedule is exhausted with no waypoints left (the
     controller emits zero and the robot stops) or max_duration elapses.
     Tracking error is the distance from the head to the waypoint polyline at
-    every observation instant. A Newton or hydrodynamic solve failure is
-    raised as SimulationError naming the simulated time.
+    every observation instant. The robot is stepped by Integrator, the same
+    loop as simulate, so it gets the substep fallback, and a solver failure
+    is raised as SimulationError naming the simulated time.
     """
-    controls = controls or StepControls()
-    dt_sim = controls.time_step if controls.time_step is not None else params.time_step
-    dt_obs = config.observation_interval
-    steps_per_obs = int(round(dt_obs / dt_sim))
-    if steps_per_obs < 1 or abs(dt_obs / dt_sim - steps_per_obs) > 1e-9:
-        raise ValueError("observation interval must be a multiple of the time step")
-
-    state = build_initial_configuration(params)
-    rest = RestConfiguration.from_built_state(params, state)
-    stiff = ElasticStiffnesses.from_parameters(params)
     queue = WaypointQueue(points=waypoints)
     if queue.points.shape[0] < 2:
         raise ValueError("need at least two waypoints")
+    integrator = Integrator(params, controls)
+    dt_obs = config.observation_interval
+    steps_per_obs = integrator.steps_per(dt_obs)
     controller = Controller(maps, config)
 
     k = config.history_length
+    state = integrator.state
     times = [0.0]
     head = [state.positions[0].copy()]
     node1 = [state.positions[1].copy()]
     node2 = [state.positions[2].copy()]
     omegas = [controller.omega_at(0)]
     pass_times: list = []
-    workspace: dict = {}
 
     n_obs = int(round(max_duration / dt_obs))
-    stopped_at = None
     zero_streak = 0
     for obs_i in range(n_obs):
         w = controller.omega_at(obs_i)
-        for _ in range(steps_per_obs):
-            try:
-                state, _ = step(state, rest, stiff, params, w, controls, workspace)
-            except (NewtonDivergenceError, hydro.HydroSolveError) as exc:
-                raise SimulationError(f"step at t={state.time:.6f}s: {exc}") from exc
+        integrator.advance(w, steps_per_obs)
+        state = integrator.state
         t_now = (obs_i + 1) * dt_obs
         times.append(t_now)
         head.append(state.positions[0].copy())
@@ -396,7 +389,6 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
             zero_streak += 1
             mission_done = queue.remaining() <= 1 or p2 is None
             if mission_done or zero_streak >= 20:
-                stopped_at = t_now
                 break
         else:
             zero_streak = 0

@@ -24,6 +24,7 @@ import numpy as np
 
 from .params import PhysicalParameters
 from .rod import (
+    DegenerateEdgeError,
     RodState,
     cross_rows,
     material_frames,
@@ -33,9 +34,6 @@ from .rod import (
     unpack_dofs,
     update_reference_twist,
 )
-
-class DegenerateEdgeError(ValueError):
-    """An edge collapsed below the minimum resolvable length."""
 
 
 @dataclass(frozen=True)

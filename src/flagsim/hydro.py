@@ -20,11 +20,15 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 class HydroSolveError(RuntimeError):
     """Mobility operator is singular, ill-conditioned or undefined here.
 
-    Raised by MobilityOperator.factorize on a failed condition check, by the
-    exact force solve on a large residual, and by assemble_mobility when two
-    flagellar nodes sit closer than the cutoff delta: the slender-body model
-    needs every Stokeslet pair at least delta apart, and the Oseen blocks
-    of a near-coincident pair scale together, so no condition check sees it.
+    Raised by assemble_mobility when two flagellar nodes sit closer than
+    the cutoff delta: the slender-body model needs every Stokeslet pair at
+    least delta apart, and the Oseen blocks of a near-coincident pair scale
+    together, so no condition check sees it. This is the only case a
+    simulation meets (it applies the mobility inverse through the clamped
+    spectrum); stepper.Integrator reports it as SimulationError without a
+    substep retry, since a smaller step does not move the nodes apart.
+    The exact solve raises it too: MobilityOperator.factorize on a failed
+    condition check and solve_flagellar_forces on a large residual.
     """
 
 
@@ -206,35 +210,19 @@ def clamped_spectrum(mobility: MobilityOperator, floor_fraction: float,
     return vecs, inv
 
 
-def regularized_apply(mobility: MobilityOperator, floor_fraction: float,
-                      viscosity: float, spectrum=None):
-    """Inverse-mobility apply with a spectral floor (see clamped_spectrum)."""
-    vecs, inv = spectrum if spectrum is not None else clamped_spectrum(
-        mobility, floor_fraction, viscosity
-    )
-
-    def apply(rhs: np.ndarray) -> np.ndarray:
-        return vecs @ (inv[:, None] * (vecs.T @ rhs)) if rhs.ndim == 2 \
-            else vecs @ (inv * (vecs.T @ rhs))
-
-    return apply
-
-
-def solve_forces_and_head_spin(mobility: MobilityOperator, node_velocities: np.ndarray,
-                               r_h: np.ndarray, head_velocity: np.ndarray,
-                               head_radius: float, viscosity: float,
-                               model: str = "classical",
-                               spectral_floor: float = 0.25,
-                               spectrum=None) -> tuple[np.ndarray, np.ndarray]:
+def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
+                               node_velocities: np.ndarray, r_h: np.ndarray,
+                               head_velocity: np.ndarray, head_radius: float,
+                               viscosity: float,
+                               model: str = "classical") -> tuple[np.ndarray, np.ndarray]:
     """Flagellar forces and head spin, closed self-consistently.
 
     The forces depend on the head-spin flow and the spin follows from torque
     balance on those same forces, so both are solved together: the spin
     dependence is linear, leaving a 3x3 system. Lagging the spin by one step
     instead is violently unstable (the algebraic loop gain exceeds one for
-    this geometry). With spectral_floor > 0 the mobility inverse is applied
-    through the clamped spectrum (see clamped_spectrum; a precomputed
-    spectrum may be passed in); 0 uses the exact factorization.
+    this geometry). The mobility inverse is applied through spectrum, the
+    (eigenvectors, inverse clamped eigenvalues) pair from clamped_spectrum.
     """
     r = np.linalg.norm(r_h, axis=1)
     if np.any(r <= 0.0):
@@ -242,17 +230,11 @@ def solve_forces_and_head_spin(mobility: MobilityOperator, node_velocities: np.n
     b = head_radius
     n = r_h.shape[0]
 
-    if spectral_floor > 0.0 or spectrum is not None:
-        apply_inv = regularized_apply(mobility, spectral_floor, viscosity,
-                                      spectrum=spectrum)
-    else:
-        if mobility._lu is None:
-            mobility.factorize()
-        def apply_inv(rhs):
-            return lu_solve(mobility._lu, rhs, check_finite=False)
+    vecs, inv = spectrum
 
     u_trans = head_induced_flow(r_h, head_velocity, np.zeros(3), b, model=model)
-    f_base = apply_inv((u_trans - node_velocities).ravel()).reshape(n, 3)
+    u_rel = (u_trans - node_velocities).ravel()
+    f_base = (vecs @ (inv * (vecs.T @ u_rel))).reshape(n, 3)
 
     # Stacked linear map Omega -> rotational flow at the nodes.
     cross_r = _cross_matrices(r_h)
@@ -263,7 +245,8 @@ def solve_forces_and_head_spin(mobility: MobilityOperator, node_velocities: np.n
         flow_op = -scale * cross_r         # (b^3/r^3) Omega x r
     else:
         raise ValueError(f"unknown head flow model {model!r}")
-    f_rot = apply_inv(flow_op.reshape(3 * n, 3)).reshape(n, 3, 3)
+    flow = flow_op.reshape(3 * n, 3)
+    f_rot = (vecs @ (inv[:, None] * (vecs.T @ flow))).reshape(n, 3, 3)
 
     # Torque-balance map f -> sum (1 - b^3/r^3) r x f.
     weighted_cross = (1.0 - b ** 3 / r ** 3)[:, None, None] * cross_r

@@ -21,6 +21,10 @@ class RodBuildError(ValueError):
     """Raised for parameter sets with an inconsistent helix discretization."""
 
 
+class DegenerateEdgeError(ValueError):
+    """An edge collapsed below the minimum resolvable length."""
+
+
 @dataclass(frozen=True)
 class HelixSpec:
     """Discretization of the helical filament."""
@@ -63,7 +67,10 @@ class RodState:
     @property
     def tangents(self) -> np.ndarray:
         e = self.edges
-        return e / np.linalg.norm(e, axis=1)[:, None]
+        lengths = np.linalg.norm(e, axis=1)
+        if np.any(lengths == 0.0):
+            raise DegenerateEdgeError("zero-length edge has no tangent")
+        return e / lengths[:, None]
 
     def dof_vector(self) -> np.ndarray:
         return pack_dofs(self.positions, self.thetas)

@@ -4,6 +4,11 @@ Each step treats the hydrodynamic force explicitly (evaluated at the current
 configuration and velocities) and the elastic force implicitly, solving the
 discrete balance with damped Newton. The first-edge twist rate is prescribed
 by the actuation command; the head spin follows from torque balance.
+
+Integrator is the one stepping loop: simulate samples it on an observation
+grid and control.run_closed_loop advances it between controller decisions,
+so both share the mobility-spectrum cache, the substep fallback and the
+error reporting. step is one time step and holds no state between calls.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ class StepControls:
     time_step: float | None = None  # None -> PhysicalParameters.time_step
     fd_jacobian: bool = False       # finite-difference elastic Jacobian (cross-check)
     head_flow_model: str = "classical"
-    mobility_floor: float = 0.25    # spectral floor for the drag solve, 0 = exact
+    mobility_floor: float = 0.25    # spectral floor for the drag solve, fraction of local drag
     mobility_refresh: int = 8       # steps between spectrum recomputations
 
     def __post_init__(self):
@@ -55,8 +60,8 @@ class StepControls:
             raise ValueError(f"newton_tol must lie in (0, 1e-2], got {self.newton_tol}")
         if self.max_newton_iters < 5:
             raise ValueError(f"max_newton_iters must be >= 5, got {self.max_newton_iters}")
-        if self.mobility_floor < 0.0:
-            raise ValueError("mobility_floor must be nonnegative")
+        if self.mobility_floor <= 0.0:
+            raise ValueError(f"mobility_floor must be positive, got {self.mobility_floor}")
         if self.mobility_refresh < 1:
             raise ValueError("mobility_refresh must be at least 1")
 
@@ -116,63 +121,39 @@ class HeadTrajectory:
     omega: np.ndarray   # (S,) applied actuation [rad/s]
 
 
+def mobility_spectrum(state: RodState, params: PhysicalParameters,
+                      controls: StepControls) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped spectrum of the flagellar mobility at the current configuration."""
+    mobility = hydro.assemble_mobility(
+        state.positions[1:], hydro.node_tangents(state.tangents),
+        params.viscosity, params.cutoff,
+    )
+    return hydro.clamped_spectrum(mobility, controls.mobility_floor, params.viscosity)
+
+
 def external_force(state: RodState, params: PhysicalParameters,
                    controls: StepControls,
-                   workspace: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hydrodynamic force vector at the current configuration.
 
     The head spin is closed self-consistently with the flagellar forces by
     torque balance inside the solve. Returns (f_ext over all DOFs, flagellar
-    node forces (N-1, 3), head spin). A workspace dict, when provided,
-    caches the clamped mobility spectrum between steps (refreshed every
-    controls.mobility_refresh calls); the configuration drifts a fraction of
-    an edge length between refreshes.
+    node forces (N-1, 3), head spin). spectrum is the clamped mobility
+    spectrum to solve with (Integrator passes a cached one, refreshed every
+    controls.mobility_refresh steps; the configuration drifts a fraction of
+    an edge length in between); None computes it here.
     """
     n = params.node_count
     pos = state.positions
     r_h = pos[1:] - pos[0]
     pos_idx, _ = node_dof_indices(n)
     node_vel = state.velocities[pos_idx]
-    spectrum = None
-    mobility = None
-    if controls.mobility_floor > 0.0:
-        if workspace is not None:
-            age = workspace.get("age", 0)
-            if "spectrum" not in workspace or age % controls.mobility_refresh == 0:
-                mobility = hydro.assemble_mobility(
-                    pos[1:], hydro.node_tangents(state.tangents),
-                    params.viscosity, params.cutoff,
-                )
-                workspace["spectrum"] = hydro.clamped_spectrum(
-                    mobility, controls.mobility_floor, params.viscosity
-                )
-            workspace["age"] = age + 1
-            spectrum = workspace["spectrum"]
-        else:
-            mobility = hydro.assemble_mobility(
-                pos[1:], hydro.node_tangents(state.tangents),
-                params.viscosity, params.cutoff,
-            )
-            spectrum = hydro.clamped_spectrum(
-                mobility, controls.mobility_floor, params.viscosity
-            )
-    if mobility is None:
-        if spectrum is None:
-            mobility = hydro.assemble_mobility(
-                pos[1:], hydro.node_tangents(state.tangents),
-                params.viscosity, params.cutoff,
-            )
-        else:
-            # The cached spectrum carries the operator; the matrix itself is
-            # not needed on non-refresh steps.
-            mobility = hydro.MobilityOperator(
-                matrix=np.empty((0, 0)), node_tangents=np.empty((0, 3)),
-                cutoff=params.cutoff,
-            )
+    if spectrum is None:
+        spectrum = mobility_spectrum(state, params, controls)
     f_flag, head_spin = hydro.solve_forces_and_head_spin(
-        mobility, node_vel[1:], r_h, state.head_velocity,
+        spectrum, node_vel[1:], r_h, state.head_velocity,
         params.head_radius, params.viscosity, model=controls.head_flow_model,
-        spectral_floor=controls.mobility_floor, spectrum=spectrum,
     )
     f_head, _ = hydro.head_force_torque(
         f_flag, r_h, params.head_radius, params.viscosity,
@@ -198,8 +179,12 @@ def external_force(state: RodState, params: PhysicalParameters,
 
 def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
          params: PhysicalParameters, omega: float, controls: StepControls,
-         workspace: dict | None = None) -> tuple[RodState, StepDiagnostics]:
-    """Advance the system one time step under actuation rate omega [rad/s]."""
+         spectrum: tuple[np.ndarray, np.ndarray] | None = None,
+         ) -> tuple[RodState, StepDiagnostics]:
+    """Advance the system one time step under actuation rate omega [rad/s].
+
+    spectrum is passed on to external_force.
+    """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     dt = controls.time_step if controls.time_step is not None else params.time_step
@@ -208,7 +193,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     v_old = state.velocities
     mass = rest.mass
 
-    f_ext, f_flag, head_spin = external_force(state, params, controls, workspace)
+    f_ext, f_flag, head_spin = external_force(state, params, controls, spectrum)
 
     free = np.ones(4 * n - 1, dtype=bool)
     free[3] = False  # theta^0 carries the prescribed rotation
@@ -306,37 +291,113 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     return new_state, diag
 
 
+class Integrator:
+    """The stepping loop every simulation runs: state, cache and fallback.
+
+    Owns a copy of the state, the rest configuration (built from params
+    when not given), the stiffnesses, the time step and the step count;
+    time is t0 + steps * dt. The clamped mobility spectrum is cached and
+    refreshed every controls.mobility_refresh full steps. On a step that
+    fails to converge the integrator drops to half (then quarter) substeps
+    and keeps the reduction for a one-second recovery window before trying
+    the full step again; the cache is cleared when the window opens. Only a
+    failure at the finest level propagates, as SimulationError. A
+    HydroSolveError (e.g. two nodes closer than the cutoff) becomes
+    SimulationError at once, without substep retries.
+    """
+
+    def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
+                 state: RodState | None = None, rest: RestConfiguration | None = None):
+        self.params = params
+        self.controls = controls or StepControls()
+        self.dt = self.controls.time_step if self.controls.time_step is not None \
+            else params.time_step
+        if state is None or rest is None:
+            built = build_initial_configuration(params)
+        self.state = state.copy() if state is not None else built
+        self.rest = rest if rest is not None else RestConfiguration.from_built_state(params, built)
+        self.stiff = ElasticStiffnesses.from_parameters(params)
+        self.t0 = self.state.time
+        self.steps = 0
+        self._spectrum = None
+        self._age = 0  # full steps attempted; a multiple of mobility_refresh refreshes
+        self._recover = 0  # remaining steps to run at half size before retrying full
+        self._recover_window = max(int(round(1.0 / self.dt)), 1)
+
+    @property
+    def time(self) -> float:
+        return self.t0 + self.steps * self.dt
+
+    def steps_per(self, interval: float) -> int:
+        """Steps in interval, which must be a positive integer multiple of dt."""
+        ratio = interval / self.dt
+        n = int(round(ratio))
+        if n < 1 or abs(ratio - n) > 1e-9 * max(ratio, 1.0):
+            raise ValueError("observation interval must be a positive integer multiple "
+                             "of the time step")
+        return n
+
+    def advance(self, omega: float, n_steps: int = 1) -> None:
+        """Take n_steps time steps at actuation rate omega [rad/s]."""
+        for _ in range(n_steps):
+            self._advance_one(omega)
+
+    def _advance_one(self, omega: float) -> None:
+        t = self.time
+        levels = (1, 2) if self._recover > 0 else (0, 1, 2)
+        for level in levels:
+            try:
+                if level == 0:
+                    self._full_step(omega)
+                else:
+                    self._substeps(omega, 2 ** level)
+                break
+            except NewtonDivergenceError as exc:
+                if level == 2:
+                    raise SimulationError(
+                        f"step at t={t:.6f}s failed even at a quarter of the "
+                        f"time step: {exc}"
+                    ) from exc
+            except hydro.HydroSolveError as exc:
+                # A smaller step does not move the nodes apart: no retry.
+                raise SimulationError(f"step at t={t:.6f}s: {exc}") from exc
+        if self._recover > 0:
+            self._recover -= 1
+        self.steps += 1
+
+    def _full_step(self, omega: float) -> None:
+        if self._spectrum is None or self._age % self.controls.mobility_refresh == 0:
+            self._spectrum = mobility_spectrum(self.state, self.params, self.controls)
+        self._age += 1
+        self.state, _ = step(self.state, self.rest, self.stiff, self.params, omega,
+                             self.controls, self._spectrum)
+
+    def _substeps(self, omega: float, sub: int) -> None:
+        controls = replace(self.controls, time_step=self.dt / sub)
+        state = self.state
+        for _ in range(sub):
+            state, _ = step(state, self.rest, self.stiff, self.params, omega, controls)
+        self.state = state
+        if self._recover == 0:
+            self._recover = self._recover_window
+            self._spectrum = None
+
+
 def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
              duration: float, observation_interval: float,
              controls: StepControls | None = None,
              initial_state: RodState | None = None,
-             rest: RestConfiguration | None = None,
-             state_sink=None) -> HeadTrajectory:
+             rest: RestConfiguration | None = None) -> HeadTrajectory:
     """Run the forward dynamics and sample the head every observation interval.
 
-    Deterministic: identical inputs produce bit-identical outputs. On a
-    non-converged step the integrator drops to half (then quarter) substeps
-    and keeps the reduction for a one-second recovery window before trying
-    the full step again; only a failure at the finest level propagates, as
-    SimulationError. A HydroSolveError (e.g. two nodes closer than the
-    cutoff) becomes SimulationError at once, without substep retries.
-    ``state_sink``, when given, receives the full state at every
-    observation instant.
+    Deterministic: identical inputs produce bit-identical outputs. The
+    steps, the substep fallback and the error reporting are Integrator's;
+    omega is read from the profile at the start of every step.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    controls = controls or StepControls()
-    dt = controls.time_step if controls.time_step is not None else params.time_step
-    ratio = observation_interval / dt
-    steps_per_obs = int(round(ratio))
-    if steps_per_obs < 1 or abs(ratio - steps_per_obs) > 1e-9 * max(ratio, 1.0):
-        raise ValueError("observation_interval must be a positive integer multiple of the time step")
-
-    state = initial_state.copy() if initial_state is not None else build_initial_configuration(params)
-    if rest is None:
-        rest = RestConfiguration.from_built_state(params, build_initial_configuration(params))
-    stiff = ElasticStiffnesses.from_parameters(params)
-    t0 = state.time
+    integrator = Integrator(params, controls, initial_state, rest)
+    steps_per_obs = integrator.steps_per(observation_interval)
 
     n_samples = int(math.floor(duration / observation_interval + 1e-9)) + 1
     times = np.empty(n_samples)
@@ -344,55 +405,14 @@ def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
     node1 = np.empty((n_samples, 3))
     node2 = np.empty((n_samples, 3))
     omegas = np.empty(n_samples)
-
-    def record(i: int, st: RodState, w: float) -> None:
-        times[i] = st.time
-        head[i] = st.positions[0]
-        node1[i] = st.positions[1]
-        node2[i] = st.positions[2]
-        omegas[i] = w
-        if state_sink is not None:
-            state_sink(st)
-
-    record(0, state, profile.value_at(t0))
-    step_index = 0
-    workspace: dict = {}
-    recover = 0  # remaining steps to run at half size before retrying full
-    recover_window = max(int(round(1.0 / dt)), 1)
-    for i in range(1, n_samples):
-        for _ in range(steps_per_obs):
-            t = t0 + step_index * dt
-            w = profile.value_at(t)
-            levels = (1, 2) if recover > 0 else (0, 1, 2)
-            advanced = False
-            for level in levels:
-                sub = 2 ** level
-                ctl = controls if level == 0 else replace(
-                    controls, time_step=dt / sub, mobility_refresh=1
-                )
-                try:
-                    st_try = state
-                    for _ in range(sub):
-                        st_try, _ = step(st_try, rest, stiff, params, w, ctl,
-                                         workspace if level == 0 else None)
-                    state = st_try
-                    if level > 0 and recover == 0:
-                        recover = recover_window
-                        workspace.pop("spectrum", None)
-                    advanced = True
-                    break
-                except NewtonDivergenceError as exc:
-                    if level == 2:
-                        raise SimulationError(
-                            f"step at t={t:.6f}s failed even at a quarter of the "
-                            f"time step: {exc}"
-                        ) from exc
-                except hydro.HydroSolveError as exc:
-                    # A smaller step does not move the nodes apart: no retry.
-                    raise SimulationError(f"step at t={t:.6f}s: {exc}") from exc
-            assert advanced
-            if recover > 0:
-                recover -= 1
-            step_index += 1
-        record(i, state, profile.value_at(t0 + step_index * dt))
+    for i in range(n_samples):
+        if i > 0:
+            for _ in range(steps_per_obs):
+                integrator.advance(profile.value_at(integrator.time))
+        state = integrator.state
+        times[i] = state.time
+        head[i] = state.positions[0]
+        node1[i] = state.positions[1]
+        node2[i] = state.positions[2]
+        omegas[i] = profile.value_at(integrator.time)
     return HeadTrajectory(times=times, head=head, node1=node1, node2=node2, omega=omegas)

@@ -51,3 +51,26 @@ def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale
     out.ref_d2 = ev.d2
     out.ref_twist = ev.ref_twist
     return out
+
+
+def flaky_step(real_step, error, every_call=False):
+    """A step that raises error on its first call, if full-size, or on every call.
+
+    Returns (step, sizes); sizes records each call's controls.time_step
+    (None for a full step).
+    """
+    sizes = []
+
+    def step(state, rest, stiff, params, omega, controls, *args):
+        sizes.append(controls.time_step)
+        if every_call or sizes == [None]:
+            raise error
+        return real_step(state, rest, stiff, params, omega, controls, *args)
+
+    return step, sizes
+
+
+def fallback_sizes(dt, n_steps):
+    """Step sizes after one failed full step at t=0: half steps for one second."""
+    window = round(1.0 / dt)
+    return [None] + [dt / 2] * (2 * window) + [None] * (n_steps - window)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import flagsim.stepper
 from flagsim.cli import (
     DATASET_HEADER,
     TRAJECTORY_HEADER,
@@ -17,6 +18,8 @@ from flagsim.cli import (
 )
 from flagsim.config import ConfigError, load_config, preset
 from flagsim.geometry import SteeringDatapoint, polyline_distance
+from flagsim.hydro import HydroSolveError
+from flagsim.stepper import StepControls
 
 
 def tiny_config(tmp_path, duration_scale=1.0):
@@ -59,6 +62,28 @@ def test_config_override(tmp_path):
     assert cfg.control.omega_high_rpm == 18.0
     assert cfg.seed == 7
     assert cfg.physical.node_count == 42  # preset value retained
+
+
+def test_mobility_floor_must_be_positive(tmp_path):
+    with pytest.raises(ValueError):
+        StepControls(mobility_floor=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"mobility_floor": 0}}))
+    with pytest.raises(ConfigError):
+        load_config(path, "desk")
+
+
+def test_simulate_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def failing_step(*args, **kwargs):
+        raise HydroSolveError("nodes closer than the cutoff")
+
+    monkeypatch.setattr(flagsim.stepper, "step", failing_step)
+    out = tmp_path / "traj.csv"
+    rc = main(["simulate", "--config", tiny_config(tmp_path), "--duration", "1.0",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
 
 
 def test_simulate_zero_duration(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import flagsim.control
+import flagsim.stepper
 from flagsim import desk_parameters, hydro
 from flagsim.control import (
     ControlConfig,
@@ -15,6 +15,8 @@ from flagsim.control import (
     run_closed_loop,
 )
 from flagsim.stepper import NewtonDivergenceError, SimulationError, StepDiagnostics
+
+from conftest import fallback_sizes, flaky_step
 
 
 def t_app_scan_oracle(beta_d, beta, l_d, l, omega_rpm, cruise):
@@ -296,14 +298,11 @@ def test_query_clamped_outside_hull():
     assert not clamped
 
 
-@pytest.mark.parametrize("error", [
-    NewtonDivergenceError("Newton stalled", StepDiagnostics()),
-    hydro.HydroSolveError("nodes closer than the cutoff"),
-])
-def test_closed_loop_solver_failure_is_simulation_error(monkeypatch, error):
-    # run_closed_loop steps on its own; a solver failure there must reach the
-    # CLI as SimulationError (exit 2), not escape as a traceback
+def test_closed_loop_solver_failure_is_simulation_error(monkeypatch):
+    # a node-separation failure must reach the CLI as SimulationError (exit 2)
+    # naming the simulated time, not escape as a traceback
     params = desk_parameters(node_count=16, time_step=0.005)
+    error = hydro.HydroSolveError("nodes closer than the cutoff")
     calls = []
 
     def failing_step(state, *args, **kwargs):
@@ -314,9 +313,33 @@ def test_closed_loop_solver_failure_is_simulation_error(monkeypatch, error):
         out.time = state.time + params.time_step
         return out, StepDiagnostics()
 
-    monkeypatch.setattr(flagsim.control, "step", failing_step)
+    monkeypatch.setattr(flagsim.stepper, "step", failing_step)
     waypoints = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
     with pytest.raises(SimulationError, match=r"t=0\.010000s") as info:
         run_closed_loop(params, LinearMaps(), waypoints, make_config(), max_duration=1.0)
     assert info.value.__cause__ is error
     assert len(calls) == 3
+
+
+def test_closed_loop_substep_fallback(monkeypatch):
+    # the closed loop steps through the same fallback as simulate: one Newton
+    # failure is replaced by two half steps and the half size is kept for the
+    # one-second recovery window; a failure at every size is SimulationError
+    params = desk_parameters(node_count=16, time_step=0.005)
+    waypoints = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
+    error = NewtonDivergenceError("injected", StepDiagnostics())
+    real_step = flagsim.stepper.step
+
+    flaky, sizes = flaky_step(real_step, error)
+    monkeypatch.setattr(flagsim.stepper, "step", flaky)
+    result = run_closed_loop(params, LinearMaps(), waypoints, make_config(), max_duration=1.5)
+    assert sizes == fallback_sizes(0.005, 300)
+    assert np.array_equal(result.times, [0.0, 0.5, 1.0, 1.5])
+    assert np.all(np.isfinite(result.head))
+
+    flaky, sizes = flaky_step(real_step, error, every_call=True)
+    monkeypatch.setattr(flagsim.stepper, "step", flaky)
+    with pytest.raises(SimulationError, match="even at a quarter") as info:
+        run_closed_loop(params, LinearMaps(), waypoints, make_config(), max_duration=1.5)
+    assert info.value.__cause__ is error
+    assert sizes == [None, 0.0025, 0.00125]

@@ -9,13 +9,15 @@ from flagsim import hydro
 from flagsim.elastic import RestConfiguration, dense_from_band
 from flagsim.stepper import (
     AngularVelocityProfile,
+    NewtonDivergenceError,
     SimulationError,
     StepControls,
+    StepDiagnostics,
     simulate,
     step,
 )
 
-from conftest import committed_perturbation
+from conftest import committed_perturbation, fallback_sizes, flaky_step
 
 
 def test_node_separation_failure_is_simulation_error(monkeypatch):
@@ -72,3 +74,26 @@ def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built)
     fd, _ = step(state, rest, stiff, desk_params, omega, StepControls(fd_jacobian=True))
     moved = analytic.dof_vector() - state.dof_vector()
     assert np.linalg.norm(fd.dof_vector() - analytic.dof_vector()) <= 2e-2 * np.linalg.norm(moved)
+
+
+def test_simulate_substep_fallback(monkeypatch):
+    # One Newton failure is replaced by two half steps and the half size is
+    # kept for the one-second recovery window; a failure at every size ends
+    # the run as SimulationError.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    profile = AngularVelocityProfile.constant(3 * 2 * math.pi / 60)
+    error = NewtonDivergenceError("injected", StepDiagnostics())
+
+    flaky, sizes = flaky_step(step, error)
+    monkeypatch.setattr(stepper, "step", flaky)
+    traj = simulate(params, profile, 1.5, 0.5)
+    assert sizes == fallback_sizes(0.005, 300)
+    assert traj.times == pytest.approx([0.0, 0.5, 1.0, 1.5], abs=1e-12)
+    assert np.all(np.isfinite(traj.head))
+
+    flaky, sizes = flaky_step(step, error, every_call=True)
+    monkeypatch.setattr(stepper, "step", flaky)
+    with pytest.raises(SimulationError, match="even at a quarter") as info:
+        simulate(params, profile, 1.5, 0.5)
+    assert info.value.__cause__ is error
+    assert sizes == [None, 0.0025, 0.00125]
