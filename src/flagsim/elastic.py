@@ -2,9 +2,10 @@
 
 Energies follow the standard discrete-rod forms: per-edge stretching,
 curvature-binormal bending at internal nodes, and reference-twist-corrected
-twisting. Forces are negative energy gradients on the interleaved DOF
-vector [x_0, theta^0, x_1, theta^1, ..., x_{N-1}]; the Jacobian is the
-negated energy Hessian. Natural (stress-free) strains are recorded from the
+twisting (Bergou et al., "Discrete elastic rods", SIGGRAPH 2008). Forces
+are negative energy gradients on the interleaved DOF vector
+[x_0, theta^0, x_1, theta^1, ..., x_{N-1}]; the Jacobian is the negated
+energy Hessian. Natural (stress-free) strains are recorded from the
 as-built configuration.
 
 Each bend/twist term touches the 11 consecutive DOFs
@@ -13,6 +14,52 @@ bandwidth 10 (BANDWIDTH). The Jacobian is assembled straight into LAPACK
 general band storage, the (3*BANDWIDTH + 1, 4N-1) array that gbsv takes
 with kl = ku = BANDWIDTH: entry a[i, j] sits at [2*BANDWIDTH + i - j, j],
 and the top BANDWIDTH rows are left zero for the LU fill-in.
+
+Bend/twist kernel. At internal node i the edges e = x_i - x_{i-1} and
+f = x_{i+1} - x_i have lengths l_e, l_f, tangents t_e, t_f and material
+directors m1, m2. With chi = 1 + t_e.t_f, kb = 2 t_e x t_f / chi,
+t~ = (t_e + t_f)/chi and d~1 = (m1_e + m1_f)/chi (d~2 likewise), the
+strains are k1 = kb.(m2_e + m2_f)/2, k2 = -kb.(m1_e + m1_f)/2 and
+tau = theta_f - theta_e + reference twist. Derivatives are written as
+8-vectors [x, a, y, b]: x and y are 3-vectors on the e and f sides, a and
+b the theta_e and theta_f entries. One such vector sits on the stencil
+as (-x/l_e, a, x/l_e - y/l_f, b, y/l_f). The strain gradients are
+
+    grad k1  = [-k1 t~ + t_f x d~2, -kb.m1_e/2, -k1 t~ - t_e x d~2, -kb.m1_f/2]
+    grad k2  = [-k2 t~ - t_f x d~1, -kb.m2_e/2, -k2 t~ + t_e x d~1, -kb.m2_f/2]
+    grad tau = [kb/2, -1, kb/2, 1]
+
+and the energy gradient is w1 grad k1 + w2 grad k2 + w_t grad tau, with
+w1, w2 = EI (k - k_rest)/l_vor and w_t = GJ (tau - tau_rest)/l_vor. Let
+K = w1 k1 + w2 k2, g = w2 d~1 - w1 d~2, s = 2 g + w_t t~, and per edge
+a_e = w1 m1_e + w2 m2_e, b_e = w1 m2_e - w2 m1_e - w_t t_e (a_f, b_f on
+f). The energy Hessian is sym(sum_k c_k u_k v_k^T), sym(A) = (A + A^T)/2,
+a sum of 15 rank-one terms (e_j are the unit vectors, j = 1..3):
+
+    c_k       u_k                                       v_k
+    1         [2K t~ + 2 t_f x g - w_t kb/2, 0,          [t~, 0, t~, 0]
+               2K t~ - 2 t_e x g - w_t kb/2, 0]
+    K/chi     [t_e, 0, -t_f, 0]                         = u_k
+    1/2       [kb, 0, 0, 0]                             [b_e, 0, 0, 0]
+    1/2       [0, 0, kb, 0]                             [0, 0, b_f, 0]
+    1         [2 X_e, -kb.b_e/2, 2 Y_e, 0]              [0, 1, 0, 0]
+    1         [2 X_f, 0, 2 Y_f, -kb.b_f/2]              [0, 0, 0, 1]
+    -K/chi    [e_j, 0, e_j, 0]                          = u_k
+    1         [e_j, 0, 0, 0]                            [0, 0, e_j x s, 0]
+    EI/l_vor  grad k1, grad k2                          = u_k
+    GJ/l_vor  grad tau                                  = u_k
+
+where X_e = (kb.a_e) t~/2 - t_f x a_e/chi and Y_e = (kb.a_e) t~/2
++ t_e x a_e/chi (X_f, Y_f from a_f); kb.b_e = kb.(w1 m2_e - w2 m1_e), as
+kb is normal to t_e. The first row merges the curvature
+term 2K t~ t~^T, the pair (t_f x g, -t_e x g) t~^T with its mirror, and
+the twist term -w_t kb t~^T / 2. The two X/Y rows are the theta-position
+columns and the theta-theta entries. The e_j (e_j x s)^T rows are the
+skew coupling [s]x = 2[g]x + (w_t/chi)([t_e]x + [t_f]x) between the e
+and f sides. The e-e and f-f blocks also carry skew terms, but those
+cancel under the symmetrization and are left out. Every u_k and c_k v_k
+is embedded on the 11 stencil DOFs first, so one batched matmul over
+(S, 15, 11) arrays sums the terms of all S stencils at once.
 """
 
 from __future__ import annotations
@@ -30,7 +77,6 @@ from .rod import (
     material_frames,
     pack_dofs,
     parallel_transport,
-    signed_angle,
     unpack_dofs,
     update_reference_twist,
 )
@@ -68,7 +114,7 @@ class RestConfiguration:
         lengths = np.linalg.norm(state.edges, axis=1)
         voronoi = 0.5 * (lengths[:-1] + lengths[1:])
         m1, m2 = state.material_frames()
-        kappa, _ = _curvatures(state.tangents, m1, m2)
+        kappa = _curvatures(state.tangents, m1, m2)[-1]
         twist = state.thetas[1:] - state.thetas[:-1] + state.ref_twist
 
         n = params.node_count
@@ -116,7 +162,8 @@ class ElasticEval:
 
 
 def _check_edges(lengths: np.ndarray, min_edge: float) -> None:
-    if not np.all(np.isfinite(lengths)) or np.any(lengths < min_edge):
+    # NaN fails every comparison, so a NaN length is rejected too
+    if not min_edge <= lengths.min() <= lengths.max() < math.inf:
         raise DegenerateEdgeError(
             f"edge length below {min_edge:.3e} m (min {np.min(lengths):.3e} m)"
         )
@@ -124,261 +171,247 @@ def _check_edges(lengths: np.ndarray, min_edge: float) -> None:
 
 def _adapted_geometry(positions, thetas, prev_d1, prev_tangents, prev_ref_twist, min_edge):
     edges = positions[1:] - positions[:-1]
-    lengths = np.linalg.norm(edges, axis=1)
+    lengths = np.sqrt((edges * edges).sum(axis=1))
     _check_edges(lengths, min_edge)
     tangents = edges / lengths[:, None]
     d1 = parallel_transport(prev_d1, prev_tangents, tangents)
-    d1 -= np.sum(d1 * tangents, axis=1)[:, None] * tangents
-    d1 /= np.linalg.norm(d1, axis=1)[:, None]
-    d2 = np.cross(tangents, d1)
+    d1 -= (d1 * tangents).sum(axis=1)[:, None] * tangents
+    d1 /= np.sqrt((d1 * d1).sum(axis=1))[:, None]
+    d2 = cross_rows(tangents, d1)
     ref_twist = update_reference_twist(d1, tangents, prev_ref_twist)
     m1, m2 = material_frames(d1, d2, thetas)
     return lengths, tangents, d1, d2, ref_twist, m1, m2
 
 
+# The stencil 8-vectors [x, a, y, b] are built as (2, 4) arrays, one row
+# per side: e = [x, a], f = [y, b].
+_SIGNS = np.array([1.0, -1.0])
+_TWIST_THETA = np.array([-1.0, 1.0])  # dtau/dtheta_e, dtau/dtheta_f
+# (w1, w2, w_t) -> [[w1, w2], [-w2, w1]], the weights of a and b on (m1, m2)
+_AB_WEIGHTS = np.array([[0, 1], [1, 0]])
+_AB_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0]])
+_BLOCK_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 1, 2, 1)
+_EYE = np.eye(3)
+# Embedding of an 8-vector whose x is already divided by l_e and y by l_f
+# on the 11 stencil DOFs: (-x, a, x - y, b, y).
+_EMBED = np.zeros((8, 11))
+_EMBED[[0, 1, 2, 0, 1, 2, 3], [0, 1, 2, 4, 5, 6, 3]] = [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+_EMBED[[4, 5, 6, 4, 5, 6, 7], [4, 5, 6, 8, 9, 10, 7]] = [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+
+# Rank-one terms, in the order of the module docstring's table, with the
+# sym() halving folded into the coefficients. Rows 0..5 depend on the
+# stencil; rows 6..8 (identity) and 9..11 (skew) are constant in u; rows
+# 12..14 are the strain gradients.
+_N_TERMS = 15
+_U_CONST = np.zeros((_N_TERMS, 2, 4))
+_U_CONST[6:9, 0, :3] = _EYE
+_U_CONST[6:9, 1, :3] = _EYE
+_U_CONST[9:12, 0, :3] = _EYE
+_V_CONST = np.zeros((_N_TERMS, 2, 4))
+_V_CONST[4, 0, 3] = 1.0
+_V_CONST[5, 1, 3] = 1.0
+_V_CONST[6:9] = _U_CONST[6:9]
+_C_CONST = np.array([0.5, 0.0, 0.25, 0.25, 0.5, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0])
+
+
 def _curvatures(tangents, m1, m2):
-    """Two-component curvature at each internal node and the binormals."""
+    """Curvature at each internal node, with the pieces the derivatives reuse.
+
+    Returns chi = 1 + t_e.t_f (S,), the binormal kb (S, 3), the material
+    directors as (S, 2, 2, 3) indexed [node, edge e/f, director m1/m2],
+    their projections kb.m (S, 2, 2), and kappa (S, 2).
+    """
     te, tf = tangents[:-1], tangents[1:]
-    chi = 1.0 + np.sum(te * tf, axis=1)
+    chi = 1.0 + (te * tf).sum(axis=1)
     kb = 2.0 * cross_rows(te, tf) / chi[:, None]
-    k1 = 0.5 * np.sum(kb * (m2[:-1] + m2[1:]), axis=1)
-    k2 = -0.5 * np.sum(kb * (m1[:-1] + m1[1:]), axis=1)
-    return np.stack([k1, k2], axis=1), kb
+    frames = np.stack((m1[:-1], m2[:-1], m1[1:], m2[1:]), axis=1).reshape(-1, 2, 2, 3)
+    proj = (frames @ kb[:, None, :, None])[..., 0]
+    # (k1, k2) = (kb.(m2_e + m2_f), -kb.(m1_e + m1_f)) / 2
+    kappa = 0.5 * _SIGNS * (proj[:, 0] + proj[:, 1])[:, ::-1]
+    return chi, kb, frames, proj, kappa
 
 
-def elastic_energy(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-                   rest: RestConfiguration, stiff: ElasticStiffnesses) -> float:
-    """Total elastic energy of a candidate configuration."""
-    lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
-        positions, thetas, prev_d1, prev_tangents, prev_ref_twist, rest.min_edge
-    )
-    strain = lengths / rest.edge_lengths - 1.0
-    e_stretch = 0.5 * stiff.stretching * np.sum(strain ** 2 * rest.edge_lengths)
-    kappa, _ = _curvatures(tangents, m1, m2)
-    dk = kappa - rest.kappa
-    e_bend = 0.5 * stiff.bending * np.sum(np.sum(dk ** 2, axis=1) / rest.voronoi_lengths)
-    tau = thetas[1:] - thetas[:-1] + ref_twist
-    e_twist = 0.5 * stiff.twisting * np.sum((tau - rest.twist) ** 2 / rest.voronoi_lengths)
-    return e_stretch + e_bend + e_twist
-
-
-def _stretch_gradients(tangents, lengths, rest, stiff):
+def _stretch_gradients(tangents, strain, stiff):
     """Per-edge energy gradient wrt (x_i, x_{i+1}): (M, 6)."""
-    strain = lengths / rest.edge_lengths - 1.0
     g = stiff.stretching * strain[:, None] * tangents
     return np.concatenate([-g, g], axis=1)
 
 
 def _stretch_hessians(tangents, lengths, rest, stiff):
     """Per-edge energy Hessian blocks: (M, 6, 6)."""
-    m = tangents.shape[0]
-    eye = np.eye(3)
-    tt = tangents[:, :, None] * tangents[:, None, :]
     blk = stiff.stretching * (
-        (1.0 / rest.edge_lengths - 1.0 / lengths)[:, None, None] * eye[None]
-        + tt / lengths[:, None, None]
+        (1.0 / rest.edge_lengths - 1.0 / lengths)[:, None, None] * _EYE
+        + tangents[:, :, None] * tangents[:, None, :] / lengths[:, None, None]
     )
-    h = np.empty((m, 6, 6))
-    h[:, :3, :3] = blk
-    h[:, 3:, 3:] = blk
-    h[:, :3, 3:] = -blk
-    h[:, 3:, :3] = -blk
-    return h
+    return (blk[:, None, :, None, :] * _BLOCK_SIGNS).reshape(-1, 6, 6)
 
 
 def _bend_twist_gradients(tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff):
-    """Gradients of bending + twisting energy on the 11-DOF stencil per node.
+    """Bend plus twist energy and its gradient on the 11-DOF stencils.
 
-    Stencil ordering matches the interleaved DOF vector:
-    [x_{i-1}, theta^{i-1}, x_i, theta^i, x_{i+1}].
-    Returns (grad (S, 11), gradKappa (S, 11, 2), gradTau (S, 11), kappa, tau, kb).
+    Returns (grad (S, 11), energy, terms), where terms holds what the
+    Hessian reuses: the strain gradients (k1, k2, tau) as 8-vectors
+    "dstrain" (S, 3, 8), their weights w = (w1, w2, w_t) (S, 3), the
+    moduli (EI, EI, GJ)/l_vor (S, 3), the per-stencil embedding "embed"
+    (S, 8, 11) of the 8-vectors on the stencil DOFs and the curvature pieces.
     """
     te, tf = tangents[:-1], tangents[1:]
-    le, lf = lengths[:-1], lengths[1:]
-    m1e, m1f = m1[:-1], m1[1:]
-    m2e, m2f = m2[:-1], m2[1:]
-    chi = 1.0 + np.sum(te * tf, axis=1)
-    kb = 2.0 * cross_rows(te, tf) / chi[:, None]
-    tilde_t = (te + tf) / chi[:, None]
-    tilde_d1 = (m1e + m1f) / chi[:, None]
-    tilde_d2 = (m2e + m2f) / chi[:, None]
-    k1 = 0.5 * np.sum(kb * (m2e + m2f), axis=1)
-    k2 = -0.5 * np.sum(kb * (m1e + m1f), axis=1)
+    chi, kb, frames, proj, kappa = _curvatures(tangents, m1, m2)
+    s = chi.shape[0]
+    t_tilde = (te + tf) / chi[:, None]
+    # (d~2, -d~1) and the cross factors (t_f, -t_e) of the x and y sides
+    dturn = (frames[:, 0] + frames[:, 1])[:, ::-1] * (_SIGNS / chi[:, None])[:, :, None]
+    sides = np.stack((tf, -te), axis=1)
 
-    dk1_de = (-k1[:, None] * tilde_t + cross_rows(tf, tilde_d2)) / le[:, None]
-    dk1_df = (-k1[:, None] * tilde_t - cross_rows(te, tilde_d2)) / lf[:, None]
-    dk2_de = (-k2[:, None] * tilde_t - cross_rows(tf, tilde_d1)) / le[:, None]
-    dk2_df = (-k2[:, None] * tilde_t + cross_rows(te, tilde_d1)) / lf[:, None]
+    dstrain = np.empty((s, 3, 2, 4))
+    dstrain[:, :2, :, :3] = (cross_rows(sides[:, None], dturn[:, :, None])
+                             - kappa[:, :, None, None] * t_tilde[:, None, None])
+    dstrain[:, :2, :, 3] = -0.5 * np.swapaxes(proj, 1, 2)
+    dstrain[:, 2, :, :3] = 0.5 * kb[:, None]
+    dstrain[:, 2, :, 3] = _TWIST_THETA
+    dstrain = dstrain.reshape(s, 3, 8)
 
-    s = te.shape[0]
-    grad_kappa = np.zeros((s, 11, 2))
-    grad_kappa[:, 0:3, 0] = -dk1_de
-    grad_kappa[:, 4:7, 0] = dk1_de - dk1_df
-    grad_kappa[:, 8:11, 0] = dk1_df
-    grad_kappa[:, 0:3, 1] = -dk2_de
-    grad_kappa[:, 4:7, 1] = dk2_de - dk2_df
-    grad_kappa[:, 8:11, 1] = dk2_df
-    grad_kappa[:, 3, 0] = -0.5 * np.sum(kb * m1e, axis=1)
-    grad_kappa[:, 7, 0] = -0.5 * np.sum(kb * m1f, axis=1)
-    grad_kappa[:, 3, 1] = -0.5 * np.sum(kb * m2e, axis=1)
-    grad_kappa[:, 7, 1] = -0.5 * np.sum(kb * m2f, axis=1)
+    strain = np.empty((s, 3))
+    strain[:, :2] = kappa - rest.kappa
+    strain[:, 2] = thetas[1:] - thetas[:-1] + ref_twist - rest.twist
+    moduli = np.array([stiff.bending, stiff.bending, stiff.twisting]) \
+        / rest.voronoi_lengths[:, None]
+    w = moduli * strain
+    energy = 0.5 * (w * strain).sum()
 
-    grad_tau = np.zeros((s, 11))
-    g0 = -0.5 / le[:, None] * kb
-    g2 = 0.5 / lf[:, None] * kb
-    grad_tau[:, 0:3] = g0
-    grad_tau[:, 8:11] = g2
-    grad_tau[:, 4:7] = -(g0 + g2)
-    grad_tau[:, 3] = -1.0
-    grad_tau[:, 7] = 1.0
-
-    kappa = np.stack([k1, k2], axis=1)
-    tau = thetas[1:] - thetas[:-1] + ref_twist
-    dk = (kappa - rest.kappa) / rest.voronoi_lengths[:, None]
-    dt = (tau - rest.twist) / rest.voronoi_lengths
-    grad = stiff.bending * np.einsum("sdc,sc->sd", grad_kappa, dk)
-    grad += stiff.twisting * dt[:, None] * grad_tau
-    aux = dict(kb=kb, tilde_t=tilde_t, tilde_d1=tilde_d1, tilde_d2=tilde_d2,
-               chi=chi, kappa=kappa, tau=tau,
-               dk1_de=dk1_de, dk1_df=dk1_df, dk2_de=dk2_de, dk2_df=dk2_df)
-    return grad, grad_kappa, grad_tau, aux
+    inv_l = 1.0 / lengths
+    scale = np.ones((s, 8))
+    scale[:, :3] = inv_l[:-1, None]
+    scale[:, 4:7] = inv_l[1:, None]
+    embed = scale[:, :, None] * _EMBED
+    grad = (w[:, None] @ dstrain @ embed)[:, 0]
+    terms = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
+                 t_tilde=t_tilde, dturn=dturn, sides=sides, dstrain=dstrain, w=w,
+                 moduli=moduli, embed=embed)
+    return grad, energy, terms
 
 
-def _cross_matrices(v):
-    s = v.shape[0]
-    m = np.zeros((s, 3, 3))
-    m[:, 0, 1] = -v[:, 2]
-    m[:, 0, 2] = v[:, 1]
-    m[:, 1, 0] = v[:, 2]
-    m[:, 1, 2] = -v[:, 0]
-    m[:, 2, 0] = -v[:, 1]
-    m[:, 2, 1] = v[:, 0]
-    return m
+def _rank_one_terms(terms):
+    """The bend/twist Hessian as rank-one terms on the stencils: u and c v.
+
+    Row k of each (S, 15, 11) array holds the k-th term of the module
+    docstring's table, embedded on the 11 stencil DOFs; the energy Hessian
+    of each stencil is u^T (c v) + its transpose (the halving of sym() is
+    folded into c).
+    """
+    te, tf, chi, kb, t_tilde = (terms[k] for k in ("te", "tf", "chi", "kb", "t_tilde"))
+    sides, w = terms["sides"], terms["w"]
+    s = chi.shape[0]
+    wt = w[:, 2:]
+    big_k = (w[:, :2] * terms["kappa"]).sum(axis=1)
+    g = -(w[:, None, :2] @ terms["dturn"])[:, 0]
+    # per edge a = w1 m1 + w2 m2 and w1 m2 - w2 m1 (b without its -w_t t),
+    # as (S, edge, a/b, 3), and their projections on kb
+    weights = w[:, _AB_WEIGHTS] * _AB_SIGNS
+    ab = weights[:, None] @ terms["frames"]
+    kb_ab = terms["proj"] @ np.swapaxes(weights, 1, 2)
+
+    u = np.empty((s, _N_TERMS, 2, 4))
+    u[:] = _U_CONST
+    v = np.empty((s, _N_TERMS, 2, 4))
+    v[:] = _V_CONST
+    u[:, 0, :, :3] = (2.0 * big_k[:, None] * t_tilde - 0.5 * wt * kb)[:, None] \
+        + 2.0 * cross_rows(sides, g[:, None])
+    v[:, 0, :, :3] = t_tilde[:, None]
+    u[:, 1, 0, :3] = te
+    u[:, 1, 1, :3] = -tf
+    v[:, 1] = u[:, 1]
+    u[:, 2, 0, :3] = kb
+    u[:, 3, 1, :3] = kb
+    v[:, 2, 0, :3] = ab[:, 0, 1] - wt * te
+    v[:, 3, 1, :3] = ab[:, 1, 1] - wt * tf
+    u[:, 4:6, :, :3] = kb_ab[:, :, 0, None, None] * t_tilde[:, None, None] \
+        - 2.0 * cross_rows(sides[:, None], ab[:, :, 0, None]) / chi[:, None, None, None]
+    u[:, 4, 0, 3] = -0.5 * kb_ab[:, 0, 1]
+    u[:, 5, 1, 3] = -0.5 * kb_ab[:, 1, 1]
+    v[:, 9:12, 1, :3] = cross_rows(_EYE, (2.0 * g + wt * t_tilde)[:, None])
+    u[:, 12:] = terms["dstrain"].reshape(s, 3, 2, 4)
+    v[:, 12:] = u[:, 12:]
+
+    c = np.empty((s, _N_TERMS))
+    c[:] = _C_CONST
+    c[:, 1] = 0.5 * big_k / chi
+    c[:, 6:9] = -c[:, 1:2]
+    c[:, 12:] = 0.5 * terms["moduli"]
+    embed = terms["embed"]
+    return u.reshape(s, _N_TERMS, 8) @ embed, (v.reshape(s, _N_TERMS, 8) * c[:, :, None]) @ embed
 
 
-def _outer(a, b):
-    return a[:, :, None] * b[:, None, :]
+def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
+                      rest: RestConfiguration, stiff: ElasticStiffnesses,
+                      with_jacobian: bool = False):
+    """Elastic force and energy at a candidate configuration.
+
+    Frames are transported from the committed previous configuration, so the
+    result is a pure function of (positions, thetas) given that anchor. The
+    per-edge stretch and per-node bend/twist gradients are summed onto the
+    (4N-1,) DOF vector with one bincount, stretch entries first. Returns
+    ElasticEval, or (ElasticEval, jacobian) when with_jacobian, the Jacobian
+    in the band storage of jacobian_from_eval, which can also be called later.
+    """
+    n = positions.shape[0]
+    lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
+        positions, thetas, prev_d1, prev_tangents, prev_ref_twist, rest.min_edge
+    )
+    idx = _dof_indices(n)
+    strain = lengths / rest.edge_lengths - 1.0
+    gs = _stretch_gradients(tangents, strain, stiff)
+    gbt, energy, terms = _bend_twist_gradients(
+        tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff
+    )
+    grad = np.bincount(idx["grad"], weights=np.concatenate([gs.ravel(), gbt.ravel()]),
+                       minlength=4 * n - 1)
+    energy += 0.5 * stiff.stretching * (strain * strain * rest.edge_lengths).sum()
+
+    terms.update(idx=idx, n=n)
+    result = ElasticEval(
+        force=-grad,
+        energy=energy,
+        tangents=tangents,
+        d1=d1,
+        d2=d2,
+        ref_twist=ref_twist,
+        edge_lengths=lengths,
+        _cache=terms,
+    )
+    if not with_jacobian:
+        return result
+    return result, jacobian_from_eval(result, rest, stiff)
 
 
-def _bend_twist_hessians(tangents, lengths, m1, m2, grad_kappa, grad_tau, aux, rest, stiff):
-    """Energy Hessian blocks (S, 11, 11) for bending + twisting."""
-    te, tf = tangents[:-1], tangents[1:]
-    le, lf = lengths[:-1], lengths[1:]
-    m1e, m1f = m1[:-1], m1[1:]
-    m2e, m2f = m2[:-1], m2[1:]
-    kb = aux["kb"]
-    tilde_t = aux["tilde_t"]
-    tilde_d1 = aux["tilde_d1"]
-    tilde_d2 = aux["tilde_d2"]
-    chi = aux["chi"]
-    k1 = aux["kappa"][:, 0]
-    k2 = aux["kappa"][:, 1]
-    s = te.shape[0]
-    eye = np.eye(3)[None]
-    le2 = (le ** 2)[:, None, None]
-    lf2 = (lf ** 2)[:, None, None]
-    lelf = (le * lf)[:, None, None]
-    chi_ = chi[:, None, None]
-    k1_ = k1[:, None, None]
-    k2_ = k2[:, None, None]
+def elastic_energy(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
+                   rest: RestConfiguration, stiff: ElasticStiffnesses) -> float:
+    """Total elastic energy of a candidate configuration."""
+    return evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
+                             rest, stiff).energy
 
-    tt = _outer(tilde_t, tilde_t)
-    tf_x_d2 = cross_rows(tf, tilde_d2)
-    te_x_d2 = cross_rows(te, tilde_d2)
-    tf_x_d1 = cross_rows(tf, tilde_d1)
-    te_x_d1 = cross_rows(te, tilde_d1)
 
-    d2k1_dede = (2.0 * k1_ * tt - _outer(tf_x_d2, tilde_t) - _outer(tilde_t, tf_x_d2)) / le2 \
-        - k1_ / (chi_ * le2) * (eye - _outer(te, te)) \
-        + _outer(kb, m2e) / (2.0 * le2)
-    d2k1_dfdf = (2.0 * k1_ * tt + _outer(te_x_d2, tilde_t) + _outer(tilde_t, te_x_d2)) / lf2 \
-        - k1_ / (chi_ * lf2) * (eye - _outer(tf, tf)) \
-        + _outer(kb, m2f) / (2.0 * lf2)
-    d2k1_dedf = -k1_ / (chi_ * lelf) * (eye + _outer(te, tf)) \
-        + (2.0 * k1_ * tt - _outer(tf_x_d2, tilde_t) + _outer(tilde_t, te_x_d2)
-           - _cross_matrices(tilde_d2)) / lelf
+def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
+                       stiff: ElasticStiffnesses) -> np.ndarray:
+    """Elastic force Jacobian from a cached evaluation, in LAPACK band storage.
 
-    d2k2_dede = (2.0 * k2_ * tt + _outer(tf_x_d1, tilde_t) + _outer(tilde_t, tf_x_d1)) / le2 \
-        - k2_ / (chi_ * le2) * (eye - _outer(te, te)) \
-        - _outer(kb, m1e) / (2.0 * le2)
-    d2k2_dfdf = (2.0 * k2_ * tt - _outer(te_x_d1, tilde_t) - _outer(tilde_t, te_x_d1)) / lf2 \
-        - k2_ / (chi_ * lf2) * (eye - _outer(tf, tf)) \
-        - _outer(kb, m1f) / (2.0 * lf2)
-    d2k2_dedf = -k2_ / (chi_ * lelf) * (eye + _outer(te, tf)) \
-        + (2.0 * k2_ * tt + _outer(tf_x_d1, tilde_t) - _outer(tilde_t, te_x_d1)
-           + _cross_matrices(tilde_d1)) / lelf
-
-    # theta-theta and theta-position curvature second derivatives
-    d2k1_te2 = -0.5 * np.sum(kb * m2e, axis=1)
-    d2k1_tf2 = -0.5 * np.sum(kb * m2f, axis=1)
-    d2k2_te2 = 0.5 * np.sum(kb * m1e, axis=1)
-    d2k2_tf2 = 0.5 * np.sum(kb * m1f, axis=1)
-
-    def mixed(mvec, sign_cross, l_, t_other):
-        # d^2 kappa / (d edge d theta): (S, 3)
-        return (0.5 * np.sum(kb * mvec, axis=1)[:, None] * tilde_t
-                + sign_cross * cross_rows(t_other, mvec) / chi[:, None]) / l_[:, None]
-
-    d2k1_de_te = mixed(m1e, -1.0, le, tf)
-    d2k1_de_tf = mixed(m1f, -1.0, le, tf)
-    d2k1_df_te = mixed(m1e, 1.0, lf, te)
-    d2k1_df_tf = mixed(m1f, 1.0, lf, te)
-    d2k2_de_te = mixed(m2e, -1.0, le, tf)
-    d2k2_de_tf = mixed(m2f, -1.0, le, tf)
-    d2k2_df_te = mixed(m2e, 1.0, lf, te)
-    d2k2_df_tf = mixed(m2f, 1.0, lf, te)
-
-    pos = (slice(0, 3), slice(4, 7), slice(8, 11))
-
-    dk = (aux["kappa"] - rest.kappa) / rest.voronoi_lengths[:, None]
-    w1 = (stiff.bending * dk[:, 0])[:, None, None]
-    w2 = (stiff.bending * dk[:, 1])[:, None, None]
-    dtau = (aux["tau"] - rest.twist) / rest.voronoi_lengths
-    wt = (stiff.twisting * dtau)[:, None, None]
-
-    d2m_dede = -0.5 / le2 * (_outer(kb, te + tilde_t) + 2.0 / chi_ * _cross_matrices(tf))
-    d2m_dfdf = -0.5 / lf2 * (_outer(kb, tf + tilde_t) + 2.0 / chi_ * _cross_matrices(te))
-    d2m_dedf = 0.5 / lelf * (2.0 / chi_ * _cross_matrices(te) - _outer(kb, tilde_t))
-    d2m_dfde = 0.5 / lelf * (-2.0 / chi_ * _cross_matrices(tf) - _outer(kb, tilde_t))
-
-    # Weighted sums of the per-energy second derivatives, filled once.
-    dee = w1 * d2k1_dede + w2 * d2k2_dede + wt * d2m_dede
-    dff = w1 * d2k1_dfdf + w2 * d2k2_dfdf + wt * d2m_dfdf
-    def_ = w1 * d2k1_dedf + w2 * d2k2_dedf + wt * d2m_dedf
-    dfe = w1 * np.swapaxes(d2k1_dedf, 1, 2) + w2 * np.swapaxes(d2k2_dedf, 1, 2) \
-        + wt * d2m_dfde
-
-    vor = rest.voronoi_lengths[:, None, None]
-    hess = stiff.bending / vor * np.einsum("sdc,sec->sde", grad_kappa, grad_kappa)
-    hess += stiff.twisting / vor * _outer(grad_tau, grad_tau)
-
-    hess[:, pos[0], pos[0]] += dee
-    hess[:, pos[0], pos[1]] += -dee + def_
-    hess[:, pos[0], pos[2]] += -def_
-    hess[:, pos[1], pos[0]] += -dee + dfe
-    hess[:, pos[1], pos[1]] += dee - def_ - dfe + dff
-    hess[:, pos[1], pos[2]] += def_ - dff
-    hess[:, pos[2], pos[0]] += -dfe
-    hess[:, pos[2], pos[1]] += dfe - dff
-    hess[:, pos[2], pos[2]] += dff
-
-    w1s = w1[:, :, 0]
-    w2s = w2[:, :, 0]
-    hess[:, 3, 3] += w1s[:, 0] * d2k1_te2 + w2s[:, 0] * d2k2_te2
-    hess[:, 7, 7] += w1s[:, 0] * d2k1_tf2 + w2s[:, 0] * d2k2_tf2
-
-    for col, pairs in ((3, ((d2k1_de_te, d2k1_df_te), (d2k2_de_te, d2k2_df_te))),
-                       (7, ((d2k1_de_tf, d2k1_df_tf), (d2k2_de_tf, d2k2_df_tf)))):
-        (k1e, k1f), (k2e, k2f) = pairs
-        ce = w1s * k1e + w2s * k2e
-        cf = w1s * k1f + w2s * k2f
-        hess[:, pos[0], col] += -ce
-        hess[:, pos[1], col] += ce - cf
-        hess[:, pos[2], col] += cf
-        hess[:, col, pos[0]] += -ce
-        hess[:, col, pos[1]] += ce - cf
-        hess[:, col, pos[2]] += cf
-    return hess
+    The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
+    apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbsv takes
+    with kl = ku = BANDWIDTH: a[i, j] sits at [DIAG_ROW + i - j, j], and the
+    first BANDWIDTH rows are zero (LU fill-in space). The bend/twist blocks
+    are one batched product of rank-one terms (see the module docstring),
+    symmetrized and embedded on the 11-DOF stencils; one bincount sums them
+    and the stretch blocks into the band.
+    """
+    c = ev._cache
+    d = 4 * c["n"] - 1
+    hs = _stretch_hessians(ev.tangents, ev.edge_lengths, rest, stiff)
+    u, cv = _rank_one_terms(c)
+    hbt = np.swapaxes(u, 1, 2) @ cv
+    hbt += np.swapaxes(hbt, 1, 2)
+    weights = np.concatenate([hs.ravel(), hbt.ravel()])
+    hess = np.bincount(c["idx"]["band"], weights=weights, minlength=BAND_ROWS * d)
+    return -hess.reshape(BAND_ROWS, d)
 
 
 _INDEX_CACHE: dict[int, dict[str, np.ndarray]] = {}
@@ -440,77 +473,6 @@ def dense_from_band(ab: np.ndarray) -> np.ndarray:
     a = np.zeros((d, d))
     a[i, j] = ab[DIAG_ROW + i - j, j]
     return a
-
-
-def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-                      rest: RestConfiguration, stiff: ElasticStiffnesses,
-                      with_jacobian: bool = False):
-    """Elastic force at a candidate configuration.
-
-    Frames are transported from the committed previous configuration, so the
-    result is a pure function of (positions, thetas) given that anchor. The
-    per-edge stretch and per-node bend/twist gradients are summed onto the
-    (4N-1,) DOF vector with one bincount, stretch entries first. Returns
-    ElasticEval, or (ElasticEval, jacobian) when with_jacobian, the Jacobian
-    in the band storage of jacobian_from_eval, which can also be called later.
-    """
-    n = positions.shape[0]
-    lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
-        positions, thetas, prev_d1, prev_tangents, prev_ref_twist, rest.min_edge
-    )
-    idx = _dof_indices(n)
-
-    gs = _stretch_gradients(tangents, lengths, rest, stiff)
-    gbt, grad_kappa, grad_tau, aux = _bend_twist_gradients(
-        tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff
-    )
-    grad = np.bincount(idx["grad"], weights=np.concatenate([gs.ravel(), gbt.ravel()]),
-                       minlength=4 * n - 1)
-
-    strain = lengths / rest.edge_lengths - 1.0
-    energy = 0.5 * stiff.stretching * np.sum(strain ** 2 * rest.edge_lengths)
-    dkap = aux["kappa"] - rest.kappa
-    energy += 0.5 * stiff.bending * np.sum(np.sum(dkap ** 2, axis=1) / rest.voronoi_lengths)
-    energy += 0.5 * stiff.twisting * np.sum((aux["tau"] - rest.twist) ** 2 / rest.voronoi_lengths)
-
-    result = ElasticEval(
-        force=-grad,
-        energy=energy,
-        tangents=tangents,
-        d1=d1,
-        d2=d2,
-        ref_twist=ref_twist,
-        edge_lengths=lengths,
-        _cache={"m1": m1, "m2": m2, "grad_kappa": grad_kappa, "grad_tau": grad_tau,
-                "aux": aux, "idx": idx, "n": n},
-    )
-    if not with_jacobian:
-        return result
-    return result, jacobian_from_eval(result, rest, stiff)
-
-
-def _symmetrized(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + np.swapaxes(h, 1, 2))
-
-
-def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
-                       stiff: ElasticStiffnesses) -> np.ndarray:
-    """Elastic force Jacobian from a cached evaluation, in LAPACK band storage.
-
-    The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
-    apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbsv takes
-    with kl = ku = BANDWIDTH: a[i, j] sits at [DIAG_ROW + i - j, j], and the
-    first BANDWIDTH rows are zero (LU fill-in space). The per-element Hessian
-    blocks are symmetrized before one bincount sums them into the band.
-    """
-    c = ev._cache
-    d = 4 * c["n"] - 1
-    hs = _stretch_hessians(ev.tangents, ev.edge_lengths, rest, stiff)
-    hbt = _bend_twist_hessians(ev.tangents, ev.edge_lengths, c["m1"], c["m2"],
-                               c["grad_kappa"], c["grad_tau"], c["aux"], rest, stiff)
-    weights = np.concatenate([_symmetrized(hs).ravel(), _symmetrized(hbt).ravel()])
-    hess = np.bincount(c["idx"]["band"], weights=weights, minlength=BAND_ROWS * d)
-    return -hess.reshape(BAND_ROWS, d)
 
 
 def internal_force(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses) -> np.ndarray:

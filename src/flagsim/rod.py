@@ -123,64 +123,44 @@ def unpack_dofs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q[pos_idx], q[theta_idx]
 
 
+# Levi-Civita symbol as a (9, 3) matrix: (a x b)_i = sum_jk eps[3j + k, i] a_j b_k.
+_LEVI_CIVITA = np.zeros((9, 3))
+_LEVI_CIVITA[[5, 6, 1, 7, 2, 3], [0, 1, 2, 0, 1, 2]] = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+
+
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product; avoids np.cross call overhead on small arrays."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    """Cross product over the last axis, broadcasting; cheaper than np.cross on small arrays.
+
+    One outer product and one matmul; every output entry is a_j b_k - a_k b_j,
+    rounded exactly as written out by hand.
+    """
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (9,)) @ _LEVI_CIVITA
+
+
+# Below this, 1 + t_from . t_to is lost to rounding (its absolute error is
+# about 1e-16) and the minimal rotation between the tangents is undefined.
+ANTIPARALLEL_TOL = 1e-10
 
 
 def parallel_transport(vectors: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking each t_from onto t_to, applied to vectors.
+    """Minimal rotation taking each unit t_from onto unit t_to, applied to vectors.
 
-    All arguments are (M, 3); degenerate pairs (parallel tangents) leave the
-    vector unchanged.
+    Arguments are (..., 3). With b = t_from x t_to and c = t_from . t_to the
+    rotation is Rodrigues' v c + b x v + b (b . v) / (1 + c), so parallel
+    tangents leave v unchanged. Antiparallel tangents (an edge reversed in
+    one step, or folded back onto its neighbour) have no minimal rotation:
+    DegenerateEdgeError when 1 + c <= ANTIPARALLEL_TOL.
     """
-    vectors = np.atleast_2d(vectors)
-    t_from = np.atleast_2d(t_from)
-    t_to = np.atleast_2d(t_to)
-    axis = cross_rows(t_from, t_to)
-    axis_norm = np.sqrt(np.sum(axis * axis, axis=1))
-    out = vectors.copy()
-    ok = axis_norm > 1e-14
-    if np.any(ok):
-        b = axis[ok] / axis_norm[ok][:, None]
-        tf = t_from[ok]
-        tt = t_to[ok]
-        n0 = cross_rows(tf, b)
-        n1 = cross_rows(tt, b)
-        v = vectors[ok]
-        out[ok] = (
-            np.sum(v * tf, axis=1)[:, None] * tt
-            + np.sum(v * n0, axis=1)[:, None] * n1
-            + np.sum(v * b, axis=1)[:, None] * b
+    c = (t_from * t_to).sum(axis=-1)
+    chi = 1.0 + c
+    if not np.all(chi > ANTIPARALLEL_TOL):
+        raise DegenerateEdgeError(
+            f"antiparallel tangents have no parallel transport (1 + t0.t1 = {np.min(chi):.3e})"
         )
-    return out
-
-
-def transport_frames(
-    ref_d1: np.ndarray, ref_d2: np.ndarray, old_tangents: np.ndarray, new_positions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time-parallel transport of the reference frames onto new edge tangents.
-
-    Returns (d1, d2, tangents) adapted to the edges of new_positions.
-    Degenerate (zero-length) edges are rejected.
-    """
-    edges = new_positions[1:] - new_positions[:-1]
-    lengths = np.linalg.norm(edges, axis=1)
-    if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
-        raise ValueError("degenerate edge encountered during frame transport")
-    tangents = edges / lengths[:, None]
-    d1 = parallel_transport(ref_d1, old_tangents, tangents)
-    # Re-orthonormalize against drift; cheap and keeps triads adapted to 1e-12.
-    d1 -= np.sum(d1 * tangents, axis=1)[:, None] * tangents
-    d1 /= np.linalg.norm(d1, axis=1)[:, None]
-    d2 = np.cross(tangents, d1)
-    return d1, d2, tangents
+    b = cross_rows(t_from, t_to)
+    bv = (b * vectors).sum(axis=-1) / chi
+    return c[..., None] * vectors + cross_rows(b, vectors) + bv[..., None] * b
 
 
 def material_frames(
@@ -200,29 +180,19 @@ def update_reference_twist(
     """Track the twist of the reference frame along the centerline.
 
     For each internal node, transports d1 of the previous edge onto the next
-    edge's tangent, rotates by the stored twist, and accumulates the signed
-    residual angle to d1 of the next edge.
+    edge's tangent t, rotates it by the stored twist about t, and adds the
+    signed angle from there to d1 of the next edge. The rotation is folded
+    into the cosine and sine of that angle, which one arctan2 turns into the
+    angle.
     """
-    u_prev = ref_d1[:-1]
-    u_next = ref_d1[1:]
-    t_prev = tangents[:-1]
-    t_next = tangents[1:]
-    ut = parallel_transport(u_prev, t_prev, t_next)
-    c = np.cos(ref_twist_old)[:, None]
-    s = np.sin(ref_twist_old)[:, None]
-    ut = c * ut + s * cross_rows(t_next, ut)
-    angle = signed_angle(ut, u_next, t_next)
-    return ref_twist_old + angle
-
-
-def signed_angle(u: np.ndarray, v: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Signed angle from u to v about axis, numerically stable near 0 and pi."""
-    w = cross_rows(u, v)
-    angle = 2.0 * np.arctan2(
-        np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1)
-    )
-    sign = np.where(np.sum(axis * w, axis=-1) < 0.0, -1.0, 1.0)
-    return sign * angle
+    t = tangents[1:]
+    u = parallel_transport(ref_d1[:-1], tangents[:-1], t)
+    v = ref_d1[1:]
+    cos_uv = (u * v).sum(axis=1)
+    sin_uv = (t * cross_rows(u, v)).sum(axis=1)
+    c = np.cos(ref_twist_old)
+    s = np.sin(ref_twist_old)
+    return ref_twist_old + np.arctan2(c * sin_uv - s * cos_uv, c * cos_uv + s * sin_uv)
 
 
 RAMP_PHASE = math.pi  # radial ramp from the axis onto the helix, in phase angle

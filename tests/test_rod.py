@@ -5,6 +5,7 @@ from flagsim import build_initial_configuration, paper_parameters
 from flagsim.elastic import ElasticStiffnesses, RestConfiguration, internal_force
 from flagsim.params import PhysicalParameters
 from flagsim.rod import (
+    DegenerateEdgeError,
     RodBuildError,
     helix_spec,
     material_frames,
@@ -133,6 +134,18 @@ def test_parallel_transport_90_degrees_about_d1():
     assert np.allclose(out2, -t0[0], atol=1e-14)
 
 
+def test_parallel_transport_rejects_antiparallel_tangents():
+    # a reversed edge has no minimal rotation: a typed error, no division by ~0
+    rng = np.random.default_rng(5)
+    t0 = rng.standard_normal((4, 3))
+    t0 /= np.linalg.norm(t0, axis=1)[:, None]
+    d1 = np.cross(t0, rng.standard_normal((4, 3)))
+    t1 = t0.copy()
+    t1[2] = -t0[2]
+    with pytest.raises(DegenerateEdgeError):
+        parallel_transport(d1, t0, t1)
+
+
 def test_parallel_transport_preserves_orthonormality():
     rng = np.random.default_rng(3)
     t0 = rng.standard_normal((40, 3))
@@ -168,13 +181,3 @@ def test_material_frames_cases():
     assert np.abs(np.sum(m1 * m2, axis=1)).max() <= 1e-12
     assert np.abs(np.linalg.norm(m1, axis=1) - 1.0).max() <= 1e-12
     assert np.abs(np.sum(m1 * t, axis=1)).max() <= 1e-12
-
-
-def test_transport_rejects_degenerate_edge(paper_built):
-    from flagsim.rod import transport_frames
-
-    state, _, _ = paper_built
-    bad = state.positions.copy()
-    bad[5] = bad[6]
-    with pytest.raises(ValueError):
-        transport_frames(state.ref_d1, state.ref_d2, state.tangents, bad)
