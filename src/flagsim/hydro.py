@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
+from .rod import cross_rows
+
 
 class HydroSolveError(RuntimeError):
     """Mobility operator is singular, ill-conditioned or undefined here.
@@ -129,14 +131,14 @@ def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
     ru = r_h @ head_velocity
     r1 = r[:, None]
     if model == "printed":
-        rot = (b ** 3 / r ** 3)[:, None] * np.cross(r_h, head_spin)
+        rot = (b ** 3 / r ** 3)[:, None] * cross_rows(r_h, head_spin)
         trans = 0.75 * b * (
             head_velocity[None, :] / r1
             + r_h * (ru / r ** 3)[:, None]
             + (b ** 2 / 3.0) * (head_velocity[None, :] / r1 ** 3 - r_h * (ru / r ** 5)[:, None])
         )
     elif model == "classical":
-        rot = (b ** 3 / r ** 3)[:, None] * np.cross(head_spin, r_h)
+        rot = (b ** 3 / r ** 3)[:, None] * cross_rows(head_spin, r_h)
         trans = 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
             + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
     else:
@@ -157,7 +159,7 @@ def head_force_torque(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
     fr = np.sum(forces * r_h, axis=1)
     force = np.sum(c1[:, None] * forces + (c2 * fr)[:, None] * r_h, axis=0)
     force += -6.0 * math.pi * viscosity * b * head_velocity
-    torque = -np.sum((b ** 3 / r ** 3)[:, None] * np.cross(r_h, forces), axis=0)
+    torque = -np.sum((b ** 3 / r ** 3)[:, None] * cross_rows(r_h, forces), axis=0)
     torque += -8.0 * math.pi * viscosity * b ** 3 * head_spin
     return force, torque
 
@@ -175,7 +177,7 @@ def head_spin_from_torque_balance(forces: np.ndarray, r_h: np.ndarray,
         raise ValueError("flagellar node coincides with the head center")
     b = head_radius
     weight = 1.0 - b ** 3 / r ** 3
-    total = np.sum(weight[:, None] * np.cross(r_h, forces), axis=0)
+    total = np.sum(weight[:, None] * cross_rows(r_h, forces), axis=0)
     return total / (8.0 * math.pi * viscosity * b ** 3)
 
 

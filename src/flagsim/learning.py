@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from .geometry import GeometryError, SteeringDatapoint, parameterize_segment
 from .params import PhysicalParameters
-from .stepper import AngularVelocityProfile, StepControls, simulate
+from .stepper import AngularVelocityProfile, Integrator, StepControls, sample_count, simulate
 
 HIDDEN_LAYERS = (20, 10, 5)
 
@@ -379,12 +379,6 @@ class GeneratedDataset:
     cruise_direction: np.ndarray
 
 
-def _run_pulse_trajectory(params, controls, omega_low, omega_high, t_high,
-                          total_time, settle_time, dt_obs):
-    profile = AngularVelocityProfile.pulse(omega_low, omega_high, settle_time, t_high)
-    return simulate(params, profile, total_time, dt_obs, controls=controls)
-
-
 def extract_segments(traj, spec: DatasetSpec, t_high: float, dt_obs: float,
                      k: int) -> tuple[list, list]:
     """Datapoints and rejections from one long pulsed trajectory."""
@@ -425,10 +419,16 @@ def extract_segments(traj, spec: DatasetSpec, t_high: float, dt_obs: float,
 
 def measure_cruise(params: PhysicalParameters, omega_low: float,
                    controls: StepControls, settle_time: float, dt_obs: float,
-                   window: float = 40.0) -> tuple[float, np.ndarray, object]:
-    """Steady below-buckling speed and direction from a calibration run."""
+                   window: float = 40.0, start=None) -> tuple[float, np.ndarray, object]:
+    """Steady below-buckling speed and direction from a calibration run.
+
+    The run holds omega_low for settle_time + window from the built state;
+    the speed is the head's mean over the window. start continues it from
+    a checkpoint (integrator, samples) of an earlier constant-omega_low run
+    (stepper.simulate), with bit-identical results.
+    """
     traj = simulate(params, AngularVelocityProfile.constant(omega_low),
-                    settle_time + window, dt_obs, controls=controls)
+                    settle_time + window, dt_obs, controls=controls, start=start)
     i0 = int(round(settle_time / dt_obs))
     disp = traj.head[-1] - traj.head[i0]
     elapsed = traj.times[-1] - traj.times[i0]
@@ -445,9 +445,19 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
                      workers: int = 1) -> GeneratedDataset:
     """Run the pulse protocol over the grid and extract training tuples.
 
-    One long simulation per pulse duration; segments with different end
-    points become individual datapoints. Deterministic given the seed; a
-    failing trajectory is logged and skipped rather than aborting the run.
+    Every trajectory holds omega_low until the pulse at settle_time, so the
+    settle, up to the last observation sample at or before settle_time, is
+    run once. Each grid entry continues from an exact copy of it
+    (Integrator.copy), except the first t_H = 0 entry, which continues the
+    settle run itself; the cruise calibration then continues that entry's
+    run (or the settle, when the grid has no 0). Every trajectory is
+    bit-identical to a fresh run of its profile from t = 0, and
+    learning.simulate is called once per grid entry, in grid order, then
+    once for the calibration, each call returning the trajectory from t = 0.
+    Segments with different end points become individual datapoints.
+    Deterministic given the seed; a failing trajectory is logged as a
+    rejection and skipped rather than aborting the run (a failure during the
+    settle rejects every entry), while a failing calibration raises.
     """
     if not omega_low < omega_buckling < omega_high:
         raise ValueError("need omega_low < omega_buckling < omega_high")
@@ -456,35 +466,59 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     datapoints: list = []
     rejections: list = []
 
-    jobs = [(params, controls, omega_low, omega_high, float(t_high),
-             spec.total_time, spec.settle_time, dt_obs)
-            for t_high in spec.t_high_grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trajs = list(pool.map(_pulse_job, jobs))
+    grid = [float(t_high) for t_high in spec.t_high_grid]
+    owner = grid.index(0.0) if 0.0 in grid else None
+    settle = Integrator(params, controls)
+    try:
+        settled = settle.observe(AngularVelocityProfile.constant(omega_low),
+                                 sample_count(spec.settle_time, dt_obs), dt_obs)
+    except Exception as exc:  # every grid entry shares the settle
+        settled, results = None, [exc] * len(grid)
     else:
-        trajs = [_pulse_job(j) for j in jobs]
+        # Every fork is taken before the owner advances the settle run.
+        forks = [settle if i == owner else settle.copy() for i in range(len(grid))]
+        jobs = [(fork, settled,
+                 AngularVelocityProfile.pulse(omega_low, omega_high, spec.settle_time, t_high),
+                 spec.total_time, dt_obs)
+                for fork, t_high in zip(forks, grid)]
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_pulse_job, jobs))
+        else:
+            results = [_pulse_job(j) for j in jobs]
 
-    for t_high, traj in zip(spec.t_high_grid, trajs):
-        if isinstance(traj, Exception):
-            rejections.append(RejectionRecord(float(t_high), float("nan"),
-                                              f"simulation failed: {traj}"))
+    for t_high, result in zip(grid, results):
+        if isinstance(result, Exception):
+            rejections.append(RejectionRecord(t_high, float("nan"),
+                                              f"simulation failed: {result}"))
             continue
-        points, rejected = extract_segments(traj, spec, float(t_high), dt_obs, k)
+        points, rejected = extract_segments(result[1], spec, t_high, dt_obs, k)
         datapoints.extend(points)
         rejections.extend(rejected)
 
+    # The calibration is the constant-omega_low run again: it continues the
+    # unpulsed entry, or the settle when the grid has no 0. After a failed
+    # run it starts over from t = 0 and meets the same failure if that lies
+    # within its length.
+    if settled is None or (owner is not None and isinstance(results[owner], Exception)):
+        start = None
+    else:
+        start = (settle, settled) if owner is None else results[owner]
     speed, direction, _ = measure_cruise(params, omega_low, controls,
-                                         spec.settle_time, dt_obs)
+                                         spec.settle_time, dt_obs, start=start)
     return GeneratedDataset(datapoints=datapoints, rejections=rejections,
                             cruise_speed=speed, cruise_direction=direction)
 
 
 def _pulse_job(args):
+    """One grid entry from its fork: (advanced integrator, trajectory), or the error."""
+    integrator, settled, profile, total_time, dt_obs = args
     try:
-        return _run_pulse_trajectory(*args)
+        traj = simulate(integrator.params, profile, total_time, dt_obs,
+                        start=(integrator, settled))
     except Exception as exc:  # logged by the caller per trajectory
         return exc
+    return integrator, traj
 
 
 # ---------------------------------------------------------------------------

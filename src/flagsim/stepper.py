@@ -5,16 +5,20 @@ configuration and velocities) and the elastic force implicitly, solving the
 discrete balance with damped Newton. The first-edge twist rate is prescribed
 by the actuation command; the head spin follows from torque balance.
 
-Integrator is the one stepping loop: simulate samples it on an observation
-grid and control.run_closed_loop advances it between controller decisions,
-so both share the mobility-spectrum cache, the substep fallback and the
-error reporting. step is one time step and holds no state between calls.
+Integrator is the one stepping loop: Integrator.observe samples it on an
+observation grid (simulate and the dataset settle run through it) and
+control.run_closed_loop advances it between controller decisions, so all
+share the mobility-spectrum cache, the substep fallback and the error
+reporting. Integrator.copy forks a run exactly, and simulate continues a
+run from such a checkpoint, so runs that share a start compute it once.
+step is one time step and holds no state between calls.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -119,6 +123,20 @@ class HeadTrajectory:
     node1: np.ndarray   # (S, 3) x_1
     node2: np.ndarray   # (S, 3) x_2
     omega: np.ndarray   # (S,) applied actuation [rad/s]
+
+    def first(self, n: int) -> "HeadTrajectory":
+        """The first n samples."""
+        return HeadTrajectory(*(getattr(self, f.name)[:n].copy() for f in fields(self)))
+
+    def extended(self, more: "HeadTrajectory") -> "HeadTrajectory":
+        """These samples followed by more's."""
+        return HeadTrajectory(*(np.concatenate([getattr(self, f.name), getattr(more, f.name)])
+                                for f in fields(self)))
+
+
+def sample_count(duration: float, observation_interval: float) -> int:
+    """Samples on the observation grid over [0, duration], both ends included."""
+    return int(math.floor(duration / observation_interval + 1e-9)) + 1
 
 
 def mobility_spectrum(state: RodState, params: PhysicalParameters,
@@ -301,9 +319,12 @@ class Integrator:
     fails to converge the integrator drops to half (then quarter) substeps
     and keeps the reduction for a one-second recovery window before trying
     the full step again; the cache is cleared when the window opens. Only a
-    failure at the finest level propagates, as SimulationError. A
-    HydroSolveError (e.g. two nodes closer than the cutoff) becomes
-    SimulationError at once, without substep retries.
+    failure at the finest level propagates, as SimulationError. An edge
+    that collapses or reverses (DegenerateEdgeError, e.g. in step's explicit
+    predictor) takes the same retries. A HydroSolveError (e.g. two nodes
+    closer than the cutoff) becomes SimulationError at once, without substep
+    retries. copy() forks the run: the fork and the original advance
+    bit-identically.
     """
 
     def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
@@ -328,6 +349,17 @@ class Integrator:
     def time(self) -> float:
         return self.t0 + self.steps * self.dt
 
+    def copy(self) -> "Integrator":
+        """An exact fork: state, step count, spectrum cache and fallback window.
+
+        params, controls, rest and stiff are read-only and shared.
+        """
+        fork = copy.copy(self)
+        fork.state = self.state.copy()
+        if self._spectrum is not None:
+            fork._spectrum = tuple(a.copy() for a in self._spectrum)
+        return fork
+
     def steps_per(self, interval: float) -> int:
         """Steps in interval, which must be a positive integer multiple of dt."""
         ratio = interval / self.dt
@@ -342,6 +374,31 @@ class Integrator:
         for _ in range(n_steps):
             self._advance_one(omega)
 
+    def observe(self, profile: AngularVelocityProfile, n_samples: int,
+                observation_interval: float) -> HeadTrajectory:
+        """Sample the current state, then one sample every observation interval.
+
+        omega is read from the profile before every step; a sample's omega
+        is the rate applied from it onwards.
+        """
+        steps_per_obs = self.steps_per(observation_interval)
+        times = np.empty(n_samples)
+        head = np.empty((n_samples, 3))
+        node1 = np.empty((n_samples, 3))
+        node2 = np.empty((n_samples, 3))
+        omegas = np.empty(n_samples)
+        for i in range(n_samples):
+            if i > 0:
+                for _ in range(steps_per_obs):
+                    self.advance(profile.value_at(self.time))
+            state = self.state
+            times[i] = state.time
+            head[i] = state.positions[0]
+            node1[i] = state.positions[1]
+            node2[i] = state.positions[2]
+            omegas[i] = profile.value_at(self.time)
+        return HeadTrajectory(times=times, head=head, node1=node1, node2=node2, omega=omegas)
+
     def _advance_one(self, omega: float) -> None:
         t = self.time
         levels = (1, 2) if self._recover > 0 else (0, 1, 2)
@@ -352,7 +409,7 @@ class Integrator:
                 else:
                     self._substeps(omega, 2 ** level)
                 break
-            except NewtonDivergenceError as exc:
+            except (NewtonDivergenceError, DegenerateEdgeError) as exc:
                 if level == 2:
                     raise SimulationError(
                         f"step at t={t:.6f}s failed even at a quarter of the "
@@ -387,32 +444,40 @@ def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
              duration: float, observation_interval: float,
              controls: StepControls | None = None,
              initial_state: RodState | None = None,
-             rest: RestConfiguration | None = None) -> HeadTrajectory:
+             rest: RestConfiguration | None = None,
+             start: tuple[Integrator, HeadTrajectory] | None = None) -> HeadTrajectory:
     """Run the forward dynamics and sample the head every observation interval.
 
     Deterministic: identical inputs produce bit-identical outputs. The
     steps, the substep fallback and the error reporting are Integrator's;
     omega is read from the profile at the start of every step.
+
+    start continues a run from a checkpoint (integrator, samples so far),
+    where the samples end at the integrator's current state and were taken
+    under a profile that agrees with this one up to that state. The
+    integrator is advanced in place and the call returns the checkpoint's
+    samples plus the new ones, bit-identical to a run of the profile from
+    the first sample; a checkpoint that already reaches duration is cut
+    there. The checkpoint carries its own state and rest configuration, so
+    neither initial_state nor rest may be given with it.
     """
     if duration < 0.0:
         raise ValueError("duration must be nonnegative")
-    integrator = Integrator(params, controls, initial_state, rest)
-    steps_per_obs = integrator.steps_per(observation_interval)
+    n_samples = sample_count(duration, observation_interval)
+    if start is None:
+        integrator = Integrator(params, controls, initial_state, rest)
+        return integrator.observe(profile, n_samples, observation_interval)
 
-    n_samples = int(math.floor(duration / observation_interval + 1e-9)) + 1
-    times = np.empty(n_samples)
-    head = np.empty((n_samples, 3))
-    node1 = np.empty((n_samples, 3))
-    node2 = np.empty((n_samples, 3))
-    omegas = np.empty(n_samples)
-    for i in range(n_samples):
-        if i > 0:
-            for _ in range(steps_per_obs):
-                integrator.advance(profile.value_at(integrator.time))
-        state = integrator.state
-        times[i] = state.time
-        head[i] = state.positions[0]
-        node1[i] = state.positions[1]
-        node2[i] = state.positions[2]
-        omegas[i] = profile.value_at(integrator.time)
-    return HeadTrajectory(times=times, head=head, node1=node1, node2=node2, omega=omegas)
+    integrator, prefix = start
+    if initial_state is not None or rest is not None:
+        raise ValueError("start carries its own state and rest configuration; "
+                         "initial_state and rest must not be given with it")
+    if params != integrator.params or (controls is not None and controls != integrator.controls):
+        raise ValueError("start was run with other parameters or step controls")
+    if prefix.times[-1] != integrator.state.time:
+        raise ValueError("the checkpoint's samples must end at its integrator's state")
+    done = prefix.times.shape[0] - 1  # the last sample is the current state
+    if n_samples <= done:
+        return prefix.first(n_samples)
+    more = integrator.observe(profile, n_samples - done, observation_interval)
+    return prefix.first(done).extended(more)

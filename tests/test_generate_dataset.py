@@ -1,0 +1,130 @@
+"""generate_dataset end to end on a coarse rod (N=16, dt = 0.25 s).
+
+The settle is run once and forked per grid entry; every trajectory must
+still be the fresh run of its profile, bit for bit.
+"""
+
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+import flagsim.learning as learning
+import flagsim.stepper as stepper
+from flagsim import desk_parameters
+from flagsim.hydro import HydroSolveError
+from flagsim.learning import DatasetSpec, generate_dataset
+from flagsim.stepper import SimulationError
+
+RPM = 2 * math.pi / 60
+LOW, HIGH, BUCKLING = 3 * RPM, 15 * RPM, 10 * RPM
+DT_OBS = 0.5
+K = 4
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    return desk_parameters(node_count=16, time_step=0.25)
+
+
+def run(params, spec, workers=1):
+    return generate_dataset(params, spec, LOW, HIGH, BUCKLING, dt_obs=DT_OBS, k=K,
+                            workers=workers)
+
+
+def recorded_calls(monkeypatch):
+    """Every (args, trajectory) that learning.simulate returns, in call order."""
+    calls = []
+    original = learning.simulate
+
+    def recording(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        calls.append((args, traj))
+        return traj
+
+    monkeypatch.setattr(learning, "simulate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    # 0 after a pulse, a settle off the observation grid, and a run long
+    # enough that the calibration is a cut of the unpulsed entry
+    DatasetSpec(total_time=45.0, t_high_grid=(1.0, 0.0), settle_time=4.3,
+                segments_per_trajectory=3),
+    # no 0: the calibration continues the settle itself
+    DatasetSpec(total_time=10.0, t_high_grid=(1.0,), settle_time=4.0,
+                segments_per_trajectory=3),
+], ids=["unpulsed-entry", "no-unpulsed-entry"])
+def test_forked_trajectories_equal_fresh_runs(monkeypatch, coarse, spec):
+    calls = recorded_calls(monkeypatch)
+    out = run(coarse, spec)
+    assert out.datapoints and not out.rejections
+
+    # once per grid entry in grid order, then the calibration; each from t = 0
+    durations = [spec.total_time] * len(spec.t_high_grid) + [spec.settle_time + 40.0]
+    assert [args[2] for args, _ in calls] == durations
+    for (args, _), t_high in zip(calls, spec.t_high_grid):
+        profile = stepper.AngularVelocityProfile.pulse(LOW, HIGH, spec.settle_time, t_high)
+        assert np.array_equal(args[1].times, profile.times)
+        assert np.array_equal(args[1].omegas, profile.omegas)
+    for args, traj in calls:
+        fresh = stepper.simulate(*args[:4])
+        assert traj.times[0] == 0.0
+        for f in fields(fresh):
+            assert getattr(traj, f.name).tobytes() == getattr(fresh, f.name).tobytes(), f.name
+
+    monkeypatch.undo()
+    pooled = run(coarse, spec, workers=2)
+    assert pooled.datapoints == out.datapoints
+    assert pooled.rejections == out.rejections
+    assert pooled.cruise_speed == out.cruise_speed
+    assert pooled.cruise_direction.tobytes() == out.cruise_direction.tobytes()
+
+
+def failing_step(fails):
+    """stepper.step that raises HydroSolveError where fails(state, omega) holds."""
+    real_step = stepper.step
+
+    def step(state, rest, stiff, params, omega, controls, *args):
+        if fails(state, omega):
+            raise HydroSolveError("injected")
+        return real_step(state, rest, stiff, params, omega, controls, *args)
+
+    return step
+
+
+def test_failures_are_rejected_per_entry(monkeypatch, coarse):
+    spec = DatasetSpec(total_time=10.0, t_high_grid=(0.0, 1.0, 2.0), settle_time=4.0,
+                       segments_per_trajectory=3)
+    cruise_starts = []
+    measure_cruise = learning.measure_cruise
+
+    def recording_cruise(*args, start=None, **kwargs):
+        cruise_starts.append(start)
+        return measure_cruise(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(learning, "measure_cruise", recording_cruise)
+
+    # A failed pulse rejects its own entry; the unpulsed entry and the
+    # calibration continuing it are unaffected.
+    monkeypatch.setattr(stepper, "step", failing_step(lambda state, omega: omega > BUCKLING))
+    out = run(coarse, spec)
+    reasons = [(r.t_high, r.reason) for r in out.rejections]
+    assert reasons == [(1.0, "simulation failed: step at t=4.000000s: injected"),
+                       (2.0, "simulation failed: step at t=4.000000s: injected")]
+    assert out.datapoints and all(d.t_high == 0.0 for d in out.datapoints)
+    assert cruise_starts[-1] is not None
+
+    # A failure during the settle rejects every entry, and the calibration,
+    # run again from the start, still raises.
+    monkeypatch.setattr(stepper, "step", failing_step(lambda state, omega: state.time >= 2.0))
+    with pytest.raises(SimulationError, match="t=2.000000s"):
+        run(coarse, spec)
+    assert cruise_starts[-1] is None
+
+    monkeypatch.setattr(learning, "measure_cruise", lambda *args, **kwargs: (0.0, None, None))
+    out = run(coarse, spec)
+    assert not out.datapoints
+    assert [(r.t_high, r.reason) for r in out.rejections] == [
+        (t, "simulation failed: step at t=2.000000s: injected") for t in spec.t_high_grid]

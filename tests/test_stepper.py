@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import flagsim.stepper as stepper
 from flagsim import build_initial_configuration, desk_parameters
 from flagsim import hydro
 from flagsim.elastic import RestConfiguration, dense_from_band
+from flagsim.rod import DegenerateEdgeError, node_dof_indices
 from flagsim.stepper import (
     AngularVelocityProfile,
     NewtonDivergenceError,
@@ -97,3 +99,103 @@ def test_simulate_substep_fallback(monkeypatch):
         simulate(params, profile, 1.5, 0.5)
     assert info.value.__cause__ is error
     assert sizes == [None, 0.0025, 0.00125]
+
+
+def _assert_same_run(a, b):
+    assert a.time == b.time
+    for f in fields(a.state):
+        x, y = getattr(a.state, f.name), getattr(b.state, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_integrator_copy_is_exact(monkeypatch):
+    # A fork taken off a spectrum-refresh boundary, and one taken inside the
+    # half-step recovery window, advance bit for bit like the original.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    omega = 3 * 2 * math.pi / 60
+
+    original = stepper.Integrator(params)
+    original.advance(omega, 13)  # the spectrum cache dates from step 8
+    fork = original.copy()
+    assert fork._spectrum is not None and original.controls.mobility_refresh == 8
+    assert not np.shares_memory(fork._spectrum[0], original._spectrum[0])
+    for _ in range(20):
+        original.advance(omega)
+        fork.advance(omega)
+        _assert_same_run(original, fork)
+
+    flaky, sizes = flaky_step(step, NewtonDivergenceError("injected", StepDiagnostics()))
+    monkeypatch.setattr(stepper, "step", flaky)
+    original = stepper.Integrator(params)
+    original.advance(omega, 7)  # the first step fails: half steps for 200 steps
+    fork = original.copy()
+    assert fork._recover == original._recover == 193
+    for _ in range(210):  # past the window's end and two refreshes
+        original.advance(omega)
+        fork.advance(omega)
+        _assert_same_run(original, fork)
+    assert sizes.count(0.0025) == 2 * 2 * 200 - 2 * 7
+
+
+def _carry_node5_onto_node6(params, fraction):
+    state = build_initial_configuration(params)
+    pos_idx, _ = node_dof_indices(params.node_count)
+    state.velocities[pos_idx[5]] = (state.positions[6] - state.positions[5]) \
+        / (fraction * params.time_step)
+    return state
+
+
+def test_collapsing_predictor_takes_substeps(monkeypatch):
+    # step's explicit predictor lands node 5 on node 6: the collapsed edge is
+    # retried at half and quarter steps like a Newton failure, and a collapse
+    # at every size ends the run as SimulationError.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    sizes = []
+
+    def recording(state, rest, stiff, params, omega, controls, *args):
+        sizes.append(controls.time_step)
+        return step(state, rest, stiff, params, omega, controls, *args)
+
+    monkeypatch.setattr(stepper, "step", recording)
+    integrator = stepper.Integrator(params, state=_carry_node5_onto_node6(params, 1.0))
+    integrator.advance(0.3)  # half steps stop halfway
+    assert sizes == [None, 0.0025, 0.0025]
+    assert integrator.steps == 1 and integrator._recover > 0
+
+    sizes.clear()
+    integrator = stepper.Integrator(params, state=_carry_node5_onto_node6(params, 0.25))
+    with pytest.raises(SimulationError, match="even at a quarter") as info:
+        integrator.advance(0.3)
+    assert isinstance(info.value.__cause__, DegenerateEdgeError)
+    assert sizes == [None, 0.0025, 0.00125]
+
+
+def test_simulate_continues_from_checkpoint():
+    # A run continued from a checkpoint equals the run from its first sample;
+    # a checkpoint that already reaches the duration is cut there.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    rpm = 2 * math.pi / 60
+    profile = AngularVelocityProfile.pulse(3 * rpm, 15 * rpm, 0.5, 0.25)
+    fresh = simulate(params, profile, 1.0, 0.25)
+
+    integrator = stepper.Integrator(params)
+    settled = integrator.observe(AngularVelocityProfile.constant(3 * rpm), 3, 0.25)
+    assert settled.omega[-1] == 3 * rpm  # the pulse profile reads high here
+    out = simulate(params, profile, 1.0, 0.25, start=(integrator, settled))
+    assert integrator.time == 1.0
+    cut = simulate(params, profile, 0.5, 0.25, start=(integrator, out))
+    for f in fields(fresh):
+        assert getattr(out, f.name).tobytes() == getattr(fresh, f.name).tobytes(), f.name
+        assert getattr(cut, f.name).tobytes() == getattr(fresh, f.name)[:3].tobytes(), f.name
+    assert integrator.time == 1.0
+
+    with pytest.raises(ValueError, match="initial_state and rest"):
+        simulate(params, profile, 1.0, 0.25, rest=integrator.rest, start=(integrator, out))
+    with pytest.raises(ValueError, match="initial_state and rest"):
+        simulate(params, profile, 1.0, 0.25, initial_state=integrator.state,
+                 start=(integrator, out))
+    with pytest.raises(ValueError, match="end at"):
+        simulate(params, profile, 1.0, 0.25, start=(integrator, settled))
