@@ -135,23 +135,29 @@ def cmd_gen_data(args) -> int:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown dataset-spec keys: {sorted(unknown)}")
-    spec = DatasetSpec(
-        total_time=float(raw["total_time_s"]),
-        t_high_grid=tuple(float(v) for v in raw["t_high_grid_s"]),
-        settle_time=float(raw.get("settle_time_s", cfg.control.startup_time)),
-        segments_per_trajectory=int(raw.get("segments_per_trajectory", 8)),
-        seed=int(raw.get("seed", cfg.seed)),
-    )
-    out = generate_dataset(
-        cfg.physical, spec,
-        omega_low=cfg.control.omega_low,
-        omega_high=cfg.control.omega_high,
-        omega_buckling=cfg.control.omega_buckling_rpm * 2 * math.pi / 60.0,
-        controls=cfg.solver,
-        dt_obs=cfg.control.observation_interval,
-        k=cfg.control.history_length,
-        workers=args.workers,
-    )
+    try:
+        spec = DatasetSpec(
+            total_time=float(raw["total_time_s"]),
+            t_high_grid=tuple(float(v) for v in raw["t_high_grid_s"]),
+            settle_time=float(raw.get("settle_time_s", cfg.control.startup_time)),
+            segments_per_trajectory=int(raw.get("segments_per_trajectory", 8)),
+            seed=int(raw.get("seed", cfg.seed)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad dataset spec: {type(exc).__name__}: {exc}") from exc
+    try:
+        out = generate_dataset(
+            cfg.physical, spec,
+            omega_low=cfg.control.omega_low,
+            omega_high=cfg.control.omega_high,
+            omega_buckling=cfg.control.omega_buckling_rpm * 2 * math.pi / 60.0,
+            controls=cfg.solver,
+            dt_obs=cfg.control.observation_interval,
+            k=cfg.control.history_length,
+            workers=args.workers,
+        )
+    except ValueError as exc:  # the omega ordering or a settle too short for the before-line
+        raise ConfigError(str(exc)) from exc
     _atomic_write(args.out, dataset_csv(out.datapoints))
     meta = {
         "cruise_speed_m_s": out.cruise_speed,

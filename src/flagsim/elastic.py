@@ -75,9 +75,7 @@ from .rod import (
     RodState,
     cross_rows,
     material_frames,
-    pack_dofs,
     parallel_transport,
-    unpack_dofs,
     update_reference_twist,
 )
 
@@ -457,15 +455,6 @@ def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= BANDWIDTH)
 
 
-def band_from_dense(a: np.ndarray) -> np.ndarray:
-    """Copy the |i - j| <= BANDWIDTH part of a square matrix into band storage."""
-    d = a.shape[0]
-    i, j = _band_pairs(d)
-    ab = np.zeros((BAND_ROWS, d))
-    ab[DIAG_ROW + i - j, j] = a[i, j]
-    return ab
-
-
 def dense_from_band(ab: np.ndarray) -> np.ndarray:
     """Expand band storage back to the square matrix it holds."""
     d = ab.shape[1]
@@ -492,36 +481,3 @@ def internal_force_jacobian(state: RodState, rest: RestConfiguration,
         rest, stiff, with_jacobian=True,
     )
     return dense_from_band(jac)
-
-
-def internal_force_jacobian_fd(positions, thetas, anchor_d1, anchor_tangents,
-                               anchor_ref_twist, rest: RestConfiguration,
-                               stiff: ElasticStiffnesses, step: float) -> np.ndarray:
-    """Finite-difference elastic Jacobian (cross-check fallback).
-
-    Central differences of the force over committed probes: each probe
-    transports the frames from the anchor onto the perturbed configuration
-    and evaluates the force there. The frame transport is path dependent, so
-    this picks up an antisymmetric connection-curvature term of relative
-    size ~1e-3 on top of the energy Hessian; the result is symmetrized. Good
-    enough as a Newton matrix for cross-checking, not as a reference Hessian
-    (for that, difference the energy twice).
-    """
-    q0 = pack_dofs(positions, thetas)
-    n_dof = q0.shape[0]
-    jac = np.empty((n_dof, n_dof))
-
-    def committed_force(q):
-        pos, th = unpack_dofs(q)
-        ev = evaluate_elastics(pos, th, anchor_d1, anchor_tangents, anchor_ref_twist,
-                               rest, stiff)
-        ev2 = evaluate_elastics(pos, th, ev.d1, ev.tangents, ev.ref_twist, rest, stiff)
-        return ev2.force
-
-    for i in range(n_dof):
-        qp = q0.copy()
-        qm = q0.copy()
-        qp[i] += step
-        qm[i] -= step
-        jac[:, i] = (committed_force(qp) - committed_force(qm)) / (2.0 * step)
-    return 0.5 * (jac + jac.T)

@@ -321,8 +321,9 @@ def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarr
     """Convert a recorded steering segment into a training datapoint.
 
     samples: (S, 3) head positions on the observation grid covering
-    [t0 - k dt, t0 + t_high + t_low], where t0 is the instant the steering
-    pulse was applied; x1_t0/x2_t0 are the first two flagellar nodes at t0.
+    [t0 - k dt, t_p + t_high + t_low], where t_p is the instant the steering
+    pulse was applied and t0 the last sample at or before it; x1_t0/x2_t0
+    are the first two flagellar nodes at t0.
     Fits the before-line on the k+1 samples up to t0 and the constrained
     after-line on the k samples reaching back k dt from the endpoint, then
     intersects the two lines for the turn point and returns
@@ -335,7 +336,7 @@ def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarr
     the dominant displacement with +x; scalars are rotation invariant.
     """
     samples = np.asarray(samples, dtype=float)
-    expected = k + int(round((t_high + t_low) / dt_obs)) + 1
+    expected = k + math.ceil((t_high + t_low) / dt_obs - 1e-9) + 1
     if samples.shape[0] != expected:
         raise ValueError(
             f"expected {expected} samples covering the segment, got {samples.shape[0]}"

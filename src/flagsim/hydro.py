@@ -14,45 +14,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .rod import cross_rows
 
 
 class HydroSolveError(RuntimeError):
-    """Mobility operator is singular, ill-conditioned or undefined here.
+    """Mobility operator is undefined at this configuration.
 
     Raised by assemble_mobility when two flagellar nodes sit closer than
     the cutoff delta: the slender-body model needs every Stokeslet pair at
     least delta apart, and the Oseen blocks of a near-coincident pair scale
-    together, so no condition check sees it. This is the only case a
-    simulation meets (it applies the mobility inverse through the clamped
-    spectrum); stepper.Integrator reports it as SimulationError without a
-    substep retry, since a smaller step does not move the nodes apart.
-    The exact solve raises it too: MobilityOperator.factorize on a failed
-    condition check and solve_flagellar_forces on a large residual.
+    together, so no condition check sees it. stepper.Integrator reports it
+    as SimulationError without a substep retry, since a smaller step does
+    not move the nodes apart.
     """
 
 
 @dataclass
 class MobilityOperator:
-    matrix: np.ndarray        # (3n, 3n) maps stacked node forces f to -u_f
-    node_tangents: np.ndarray  # (n, 3)
-    cutoff: float             # delta [m]
-    _lu: tuple | None = None
-
-    def factorize(self, cond_limit: float = 1e14) -> None:
-        a = self.matrix
-        anorm = np.linalg.norm(a, 1)
-        lu, piv = lu_factor(a, check_finite=False)
-        gecon = get_lapack_funcs(("gecon",), (a,))[0]
-        rcond, info = gecon(lu, anorm, norm="1")
-        if info != 0 or rcond <= 0.0 or 1.0 / rcond > cond_limit:
-            raise HydroSolveError(
-                f"mobility operator ill-conditioned (cond estimate {1.0 / max(rcond, 1e-300):.3e}) "
-                f"for {self.matrix.shape[0] // 3} nodes"
-            )
-        self._lu = (lu, piv)
+    matrix: np.ndarray  # (3n, 3n) maps stacked node forces f to -u_f
+    cutoff: float       # delta [m]
 
 
 def node_tangents(edge_tangents: np.ndarray) -> np.ndarray:
@@ -99,30 +80,17 @@ def assemble_mobility(positions: np.ndarray, tangents: np.ndarray,
     diag /= 8.0 * math.pi * viscosity * cutoff
     blocks[np.arange(n), np.arange(n)] = diag
     matrix = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    return MobilityOperator(matrix=matrix, node_tangents=tangents, cutoff=cutoff)
-
-
-def solve_flagellar_forces(mobility: MobilityOperator, u_f: np.ndarray) -> np.ndarray:
-    """Node forces f solving -u_f = A f, with a residual guard."""
-    if mobility._lu is None:
-        mobility.factorize()
-    rhs = -u_f.ravel()
-    f = lu_solve(mobility._lu, rhs, check_finite=False)
-    residual = np.linalg.norm(mobility.matrix @ f - rhs)
-    if residual > 1e-8 * max(np.linalg.norm(rhs), 1e-300):
-        raise HydroSolveError(f"flagellar force solve residual {residual:.3e}")
-    return f.reshape(-1, 3)
+    return MobilityOperator(matrix=matrix, cutoff=cutoff)
 
 
 def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
-                      head_spin: np.ndarray, head_radius: float,
-                      model: str = "classical") -> np.ndarray:
+                      head_spin: np.ndarray, head_radius: float) -> np.ndarray:
     """Flow along the filament induced by the moving head.
 
-    r_h: (n, 3) node positions relative to the head center. The default
-    "classical" model is the standard no-slip translating/rotating sphere
-    solution; "printed" applies the rotational term (b^3/r^3)(r x Omega) and
-    the bracketed translational tensor verbatim.
+    r_h: (n, 3) node positions relative to the head center. This is the
+    standard no-slip translating/rotating sphere solution, not the paper's
+    printed form with (b^3/r^3)(r x Omega): that form does not match the
+    sphere's surface velocity U + Omega x r.
     """
     r = np.linalg.norm(r_h, axis=1)
     if np.any(r <= 0.0):
@@ -130,19 +98,9 @@ def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
     b = head_radius
     ru = r_h @ head_velocity
     r1 = r[:, None]
-    if model == "printed":
-        rot = (b ** 3 / r ** 3)[:, None] * cross_rows(r_h, head_spin)
-        trans = 0.75 * b * (
-            head_velocity[None, :] / r1
-            + r_h * (ru / r ** 3)[:, None]
-            + (b ** 2 / 3.0) * (head_velocity[None, :] / r1 ** 3 - r_h * (ru / r ** 5)[:, None])
-        )
-    elif model == "classical":
-        rot = (b ** 3 / r ** 3)[:, None] * cross_rows(head_spin, r_h)
-        trans = 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
-            + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
-    else:
-        raise ValueError(f"unknown head flow model {model!r}")
+    rot = (b ** 3 / r ** 3)[:, None] * cross_rows(head_spin, r_h)
+    trans = 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
+        + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
     return rot + trans
 
 
@@ -215,8 +173,7 @@ def clamped_spectrum(mobility: MobilityOperator, floor_fraction: float,
 def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
                                node_velocities: np.ndarray, r_h: np.ndarray,
                                head_velocity: np.ndarray, head_radius: float,
-                               viscosity: float,
-                               model: str = "classical") -> tuple[np.ndarray, np.ndarray]:
+                               viscosity: float) -> tuple[np.ndarray, np.ndarray]:
     """Flagellar forces and head spin, closed self-consistently.
 
     The forces depend on the head-spin flow and the spin follows from torque
@@ -234,20 +191,14 @@ def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
 
     vecs, inv = spectrum
 
-    u_trans = head_induced_flow(r_h, head_velocity, np.zeros(3), b, model=model)
+    u_trans = head_induced_flow(r_h, head_velocity, np.zeros(3), b)
     u_rel = (u_trans - node_velocities).ravel()
     f_base = (vecs @ (inv * (vecs.T @ u_rel))).reshape(n, 3)
 
     # Stacked linear map Omega -> rotational flow at the nodes.
     cross_r = _cross_matrices(r_h)
     scale = (b ** 3 / r ** 3)[:, None, None]
-    if model == "printed":
-        flow_op = scale * cross_r          # (b^3/r^3) r x Omega
-    elif model == "classical":
-        flow_op = -scale * cross_r         # (b^3/r^3) Omega x r
-    else:
-        raise ValueError(f"unknown head flow model {model!r}")
-    flow = flow_op.reshape(3 * n, 3)
+    flow = (-scale * cross_r).reshape(3 * n, 3)  # (b^3/r^3) Omega x r
     f_rot = (vecs @ (inv[:, None] * (vecs.T @ flow))).reshape(n, 3, 3)
 
     # Torque-balance map f -> sum (1 - b^3/r^3) r x f.

@@ -392,7 +392,7 @@ def extract_segments(traj, spec: DatasetSpec, t_high: float, dt_obs: float,
         return [], [RejectionRecord(t_high, hi, "trajectory shorter than the lag window")]
     # evenly spaced segment endpoints, snapped to the observation grid
     ends = np.linspace(lo + dt_obs, hi, spec.segments_per_trajectory)
-    base_idx = int(round(t0 / dt_obs))
+    base_idx = sample_count(t0, dt_obs) - 1  # last sample at or before the pulse
     for t_end in ends:
         idx_end = int(round(t_end / dt_obs))
         idx_end = min(idx_end, traj.times.shape[0] - 1)
@@ -429,7 +429,7 @@ def measure_cruise(params: PhysicalParameters, omega_low: float,
     """
     traj = simulate(params, AngularVelocityProfile.constant(omega_low),
                     settle_time + window, dt_obs, controls=controls, start=start)
-    i0 = int(round(settle_time / dt_obs))
+    i0 = sample_count(settle_time, dt_obs) - 1
     disp = traj.head[-1] - traj.head[i0]
     elapsed = traj.times[-1] - traj.times[i0]
     speed = float(np.linalg.norm(disp) / elapsed)
@@ -461,6 +461,9 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     """
     if not omega_low < omega_buckling < omega_high:
         raise ValueError("need omega_low < omega_buckling < omega_high")
+    if sample_count(spec.settle_time, dt_obs) - 1 < k:
+        raise ValueError(f"settle_time {spec.settle_time} s must cover the k = {k} "
+                         f"observation intervals of the before-line ({k * dt_obs} s)")
     controls = controls or StepControls()
 
     datapoints: list = []

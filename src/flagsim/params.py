@@ -69,10 +69,6 @@ class PhysicalParameters:
         per_turn = math.hypot(2.0 * math.pi * self.helix_radius, self.pitch)
         return self.helix_turns * per_turn
 
-    @property
-    def dof_count(self) -> int:
-        return 4 * self.node_count - 1
-
 
 def paper_parameters(node_count: int = 122, time_step: float = 1e-3) -> PhysicalParameters:
     """Full-scale robot: 13 cm helix, 1 mm rod, 1 cm head, mu = 2.7 Pa s."""

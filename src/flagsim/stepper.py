@@ -30,13 +30,11 @@ from .elastic import (
     DegenerateEdgeError,
     ElasticStiffnesses,
     RestConfiguration,
-    band_from_dense,
     evaluate_elastics,
-    internal_force_jacobian_fd,
     jacobian_from_eval,
 )
 from .params import PhysicalParameters
-from .rod import RodState, build_initial_configuration, node_dof_indices, pack_dofs, unpack_dofs
+from .rod import RodState, build_initial_configuration, node_dof_indices, unpack_dofs
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -51,11 +49,15 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControls:
+    """Solver settings of step and Integrator.
+
+    The Newton matrix is always the analytic banded elastic Jacobian and the
+    drag solve always goes through the clamped mobility spectrum.
+    """
+
     newton_tol: float = 1e-6        # relative force-residual tolerance
     max_newton_iters: int = 50
     time_step: float | None = None  # None -> PhysicalParameters.time_step
-    fd_jacobian: bool = False       # finite-difference elastic Jacobian (cross-check)
-    head_flow_model: str = "classical"
     mobility_floor: float = 0.25    # spectral floor for the drag solve, fraction of local drag
     mobility_refresh: int = 8       # steps between spectrum recomputations
 
@@ -171,7 +173,7 @@ def external_force(state: RodState, params: PhysicalParameters,
         spectrum = mobility_spectrum(state, params, controls)
     f_flag, head_spin = hydro.solve_forces_and_head_spin(
         spectrum, node_vel[1:], r_h, state.head_velocity,
-        params.head_radius, params.viscosity, model=controls.head_flow_model,
+        params.head_radius, params.viscosity,
     )
     f_head, _ = hydro.head_force_torque(
         f_flag, r_h, params.head_radius, params.viscosity,
@@ -243,15 +245,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
         if rnorm <= controls.newton_tol * scale:
             converged = True
             break
-        if controls.fd_jacobian:
-            pos_new, th_new = unpack_dofs(q_new)
-            jac_el = band_from_dense(internal_force_jacobian_fd(
-                pos_new, th_new, state.ref_d1, state.tangents, state.ref_twist,
-                rest, stiff, 1e-7 * params.axial_length,
-            ))
-        else:
-            jac_el = jacobian_from_eval(ev, rest, stiff)
-        jac = -jac_el
+        jac = -jacobian_from_eval(ev, rest, stiff)
         jac[DIAG_ROW] += inertia
         # Pin the constrained twist DOF: unit row/column, zero residual.
         jac[DIAG_ROW + 3 - row3_cols, row3_cols] = 0.0

@@ -246,3 +246,19 @@ def test_gen_data_spec_validation(tmp_path):
     rc = main(["gen-data", "--config", tiny_config(tmp_path), "--spec", str(spec),
                "--out", str(tmp_path / "d.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": -1.0},
+    {"t_high_grid_s": [1.0], "settle_time_s": 5.0},
+    # k = 10 samples of 0.5 s do not fit before a 4.5 s pulse
+    {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 4.5},
+], ids=["negative-settle", "no-total-time", "short-settle"])
+def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["gen-data", "--config", tiny_config(tmp_path), "--spec", str(path),
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "d.csv").exists()

@@ -10,7 +10,6 @@ from flagsim.elastic import (
     evaluate_elastics,
     internal_force,
     internal_force_jacobian,
-    internal_force_jacobian_fd,
     jacobian_from_eval,
 )
 from flagsim.rod import pack_dofs, unpack_dofs
@@ -198,19 +197,6 @@ def test_jacobian_banded_structure(perturbed, small_built):
         for j in range(n_dof):
             if abs(i - j) > 10:
                 assert jac[i, j] == 0.0
-
-
-def test_fd_fallback_close_to_analytic(perturbed, small_built):
-    params, _, rest, stiff = small_built
-    state = perturbed
-    jac = internal_force_jacobian(state, rest, stiff)
-    jac_fd = internal_force_jacobian_fd(
-        state.positions, state.thetas, state.ref_d1, state.tangents,
-        state.ref_twist, rest, stiff, 1e-7 * params.axial_length,
-    )
-    # the committed-probe fallback carries the transport-curvature term; it
-    # stays within a percent of the analytic Hessian
-    assert np.linalg.norm(jac - jac_fd) <= 2e-2 * np.linalg.norm(jac)
 
 
 def test_degenerate_edge_rejected(perturbed, small_built):

@@ -82,6 +82,42 @@ def test_forked_trajectories_equal_fresh_runs(monkeypatch, coarse, spec):
     assert pooled.cruise_direction.tobytes() == out.cruise_direction.tobytes()
 
 
+def test_before_line_ends_before_an_off_grid_pulse(monkeypatch, coarse):
+    # The pulse at 4.3 s falls between samples: the before-line ends on the
+    # 4.0 s sample, the last one before the pulse, not the rounded 4.5 s one.
+    spec = DatasetSpec(total_time=10.0, t_high_grid=(1.0,), settle_time=4.3,
+                       segments_per_trajectory=3)
+    calls = recorded_calls(monkeypatch)
+    segments = []
+    parameterize = learning.parameterize_segment
+
+    def recording(samples, *args):
+        segments.append(samples)
+        return parameterize(samples, *args)
+
+    monkeypatch.setattr(learning, "parameterize_segment", recording)
+    out = run(coarse, spec)
+    assert len(out.datapoints) == len(segments) == 3 and not out.rejections
+    traj = calls[0][1]
+    for samples in segments:
+        (start,) = np.flatnonzero((traj.head == samples[0]).all(axis=1))
+        before = slice(start, start + K + 1)
+        assert traj.head[before].tobytes() == samples[:K + 1].tobytes()
+        assert traj.times[before][-1] == 4.0
+        assert np.all(traj.omega[before] == LOW)
+
+
+def test_short_settle_raises_before_any_run(monkeypatch, coarse):
+    calls = recorded_calls(monkeypatch)
+    steps = []
+    monkeypatch.setattr(stepper, "step", lambda *args: steps.append(args))
+    spec = DatasetSpec(total_time=10.0, t_high_grid=(0.0, 1.0), settle_time=K * DT_OBS - 0.2,
+                       segments_per_trajectory=3)
+    with pytest.raises(ValueError, match="settle_time"):
+        run(coarse, spec)
+    assert not calls and not steps
+
+
 def failing_step(fails):
     """stepper.step that raises HydroSolveError where fails(state, omega) holds."""
     real_step = stepper.step

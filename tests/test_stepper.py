@@ -50,7 +50,7 @@ def test_node_separation_failure_is_simulation_error(monkeypatch):
 
 def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built):
     # Every Newton correction from the band solve equals a dense solve of the
-    # same matrix, and a finite-difference Jacobian reaches the same state.
+    # same matrix.
     _, rest, stiff = desk_built
     state = committed_perturbation(desk_built[0], rest, stiff, seed=3)
     solves = []
@@ -68,14 +68,10 @@ def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built)
 
     monkeypatch.setattr(stepper, "get_lapack_funcs", recording)
     omega = 3 * 2 * math.pi / 60
-    analytic, diag = step(state, rest, stiff, desk_params, omega, StepControls())
+    _, diag = step(state, rest, stiff, desk_params, omega, StepControls())
     assert diag.converged and len(solves) == diag.iterations >= 1
     for dense, rhs, dq in solves:
         np.testing.assert_allclose(dq, np.linalg.solve(dense, rhs), rtol=1e-10)
-
-    fd, _ = step(state, rest, stiff, desk_params, omega, StepControls(fd_jacobian=True))
-    moved = analytic.dof_vector() - state.dof_vector()
-    assert np.linalg.norm(fd.dof_vector() - analytic.dof_vector()) <= 2e-2 * np.linalg.norm(moved)
 
 
 def test_simulate_substep_fallback(monkeypatch):
