@@ -108,16 +108,33 @@ def _load_profile(path, fallback_rpm: float) -> AngularVelocityProfile:
         return AngularVelocityProfile.constant(fallback_rpm * 2 * math.pi / 60.0)
     with open(path) as fh:
         data = json.load(fh)
-    if set(data) - {"breakpoints_rpm"}:
-        raise ConfigError("profile file must hold only 'breakpoints_rpm'")
-    pts = data["breakpoints_rpm"]
-    times = np.array([p[0] for p in pts], dtype=float)
-    omegas = np.array([p[1] for p in pts], dtype=float) * 2 * math.pi / 60.0
-    return AngularVelocityProfile(times=times, omegas=omegas)
+    if not isinstance(data, dict) or set(data) - {"breakpoints_rpm"}:
+        raise ConfigError("profile file must hold an object with only 'breakpoints_rpm'")
+    try:
+        pts = data["breakpoints_rpm"]
+        times = np.array([p[0] for p in pts], dtype=float)
+        omegas = np.array([p[1] for p in pts], dtype=float) * 2 * math.pi / 60.0
+        return AngularVelocityProfile(times=times, omegas=omegas)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad profile: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_waypoints(path) -> np.ndarray:
+    with open(path) as fh:
+        pts = json.load(fh)
+    try:
+        waypoints = np.asarray(pts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad waypoints: {type(exc).__name__}: {exc}") from exc
+    if waypoints.ndim != 2 or waypoints.shape[1] != 3 or waypoints.shape[0] < 2:
+        raise ConfigError("waypoints file must hold at least two [x, y, z] points")
+    return waypoints
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.preset, seed=args.seed)
+    if not args.duration >= 0.0:
+        raise ConfigError(f"--duration must be nonnegative, got {args.duration}")
     profile = _load_profile(args.profile, cfg.control.omega_low_rpm)
     traj = simulate(cfg.physical, profile, args.duration,
                     cfg.control.observation_interval, controls=cfg.solver)
@@ -180,11 +197,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     points = read_dataset_csv(args.dataset)
-    if not points:
-        print("dataset is empty", file=sys.stderr)
-        return 1
     controls = TrainControls(seed=args.seed if args.seed is not None else 0)
-    maps = fit_inverse_maps(points, controls)
+    try:
+        maps = fit_inverse_maps(points, controls)
+    except ValueError as exc:  # an empty, too small or non-finite dataset
+        raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     report = {}
     for name, result in (("f_H", maps.f_high), ("f_L", maps.f_low),
@@ -240,13 +257,7 @@ def _load_maps(models_dir: str) -> tuple[InverseMaps, dict]:
 def cmd_control(args) -> int:
     cfg = load_config(args.config, args.preset, seed=args.seed)
     maps, calib = _load_maps(args.models)
-    with open(args.waypoints) as fh:
-        pts = json.load(fh)
-    waypoints = np.asarray(pts, dtype=float)
-    if waypoints.ndim != 2 or waypoints.shape[1] != 3 or waypoints.shape[0] < 2:
-        print("waypoints file must hold at least two [x, y, z] points",
-              file=sys.stderr)
-        return 1
+    waypoints = _load_waypoints(args.waypoints)
     control_cfg = cfg.control
     if calib.get("cruise_speed_m_s"):
         control_cfg = replace(control_cfg, cruise_speed=float(calib["cruise_speed_m_s"]))
@@ -285,8 +296,7 @@ def steering_windows(times, omega, omega_buckling) -> list:
 
 def cmd_eval(args) -> int:
     data = read_trajectory_csv(args.trajectory)
-    with open(args.waypoints) as fh:
-        waypoints = np.asarray(json.load(fh), dtype=float)
+    waypoints = _load_waypoints(args.waypoints)
     times = data[:, 0]
     head = data[:, 1:4]
     omega = data[:, 10]

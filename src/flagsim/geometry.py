@@ -301,18 +301,9 @@ def _parameterize_in_frame(samples, x1_t0, x2_t0, t_high, t_low, dt_obs, k):
 
     x0_hat = project_onto_line(before, x0_t0)
     p1 = line_intersection(before, after)
-    p2 = samples[end_idx]
-
-    dp = p2 - p1
-    h = float(np.linalg.norm(dp))
-    if h <= 0.0:
-        raise NoTurnError("endpoint coincides with the turn point")
-    reach = p1 - x0_hat
-    l = math.copysign(1.0, float(np.dot(reach, v))) * float(np.linalg.norm(reach)) \
-        if np.linalg.norm(reach) > 0.0 else 0.0
-    alpha, beta = turn_angles(dp, frame)
-    return SteeringDatapoint(t_high=t_high, t_low=t_low, h=h, alpha=alpha,
-                             beta=beta, l=l)
+    m = desired_parameters(x0_hat, p1, samples[end_idx], frame)
+    return SteeringDatapoint(t_high=t_high, t_low=t_low, h=m.h, alpha=m.alpha,
+                             beta=m.beta, l=m.l)
 
 
 def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarray,

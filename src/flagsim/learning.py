@@ -1,9 +1,16 @@
 """Steering dataset generation and the inverse-dynamics regressors.
 
 The regressors are small feed-forward networks (2-20-10-5-m, tanh hidden
-layers, linear output) trained by damped second-order least squares with
-evidence-based reweighting of the sum-squared-error and weight-decay terms.
-Training is deterministic given the seed.
+layers, linear output) trained by damped Gauss-Newton least squares with
+evidence-based reweighting of the sum-squared-error and weight-decay terms
+(MacKay 1992; Foresee & Hagan 1997). The trainer works in the data space:
+one eigendecomposition of the Gram matrix J J^T of the residual Jacobian
+per epoch gives every damped step and the effective number of parameters
+in closed form. That decomposition costs the cube of the n*m training
+residuals, so it is the cheap side only while n*m stays at or below the
+parameter count P (331 for two inputs and one output). Every caller stays
+there: at most 256 training residuals. Training is deterministic given
+the seed.
 """
 
 from __future__ import annotations
@@ -15,12 +22,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import geometry
-from .geometry import GeometryError, SteeringDatapoint, parameterize_segment
+from .geometry import GeometryError, parameterize_segment
 from .params import PhysicalParameters
 from .stepper import AngularVelocityProfile, Integrator, StepControls, sample_count, simulate
 
 HIDDEN_LAYERS = (20, 10, 5)
+# Levenberg-Marquardt damping mu: the first value, the factor on a rejected
+# trial, the factor on an accepted one, and the value above which training
+# stops
+MU_INITIAL = 1e-2
+MU_RAISE = 5.0
+MU_DROP = 0.3
+MU_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +103,6 @@ class TrainControls:
     max_epochs: int = 400
     patience: int = 25
     validation_fraction: float = 0.2
-    mu_initial: float = 1e-2
-    mu_raise: float = 5.0
-    mu_drop: float = 0.3
-    mu_limit: float = 1e12
     fixed_regularization: tuple | None = None  # (alpha, beta) to disable re-estimation
 
 
@@ -144,49 +153,47 @@ def _forward(x, weights, biases):
     return activations
 
 
-def _jacobian(x, weights, biases, layer_sizes):
-    """Per-sample Jacobian of every output wrt the flat parameter vector.
-
-    Returns (errors-layout Jacobian (n*m, P), outputs (n, m)).
-    """
+def _jacobian(x, weights, biases):
+    """Jacobian (n*m, P) of every output, in the errors' layout, wrt the flat
+    parameter vector."""
     n = x.shape[0]
-    m = layer_sizes[-1]
+    m = weights[-1].shape[0]
     acts = _forward(x, weights, biases)
-    out = acts[-1]
     n_layers = len(weights)
+    # _flatten's order: every weight matrix, then every bias vector
+    offsets = np.cumsum([0] + [w.size for w in weights] + [b.size for b in biases])
 
-    w_sizes = [w.size for w in weights]
-    b_sizes = [b.size for b in biases]
-    w_offsets = np.concatenate([[0], np.cumsum(w_sizes)])
-    b_offsets = np.concatenate([[0], np.cumsum(b_sizes)]) + w_offsets[-1]
-    total = w_offsets[-1] + sum(b_sizes)
-
-    jac = np.empty((n, m, total))
+    jac = np.empty((n, m, offsets[-1]))
     for o in range(m):
         # delta at the linear output layer: one-hot on output o
-        delta = np.zeros((n, layer_sizes[-1]))
+        delta = np.zeros((n, m))
         delta[:, o] = 1.0
         for layer in range(n_layers - 1, -1, -1):
-            a_prev = acts[layer]
-            jac[:, o, w_offsets[layer]: w_offsets[layer + 1]] = (
-                delta[:, :, None] * a_prev[:, None, :]
+            jac[:, o, offsets[layer]: offsets[layer + 1]] = (
+                delta[:, :, None] * acts[layer][:, None, :]
             ).reshape(n, -1)
-            jac[:, o, b_offsets[layer]: b_offsets[layer + 1]] = delta
+            jac[:, o, offsets[n_layers + layer]: offsets[n_layers + layer + 1]] = delta
             if layer > 0:
                 delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
-    return jac.reshape(n * m, total), out
+    return jac.reshape(n * m, offsets[-1])
 
 
 def train_regressor(inputs: np.ndarray, targets: np.ndarray,
                     controls: TrainControls | None = None,
-                    hidden: tuple = HIDDEN_LAYERS,
                     normalize_outputs: bool = True) -> TrainResult:
     """Fit one network by regularized second-order least squares.
 
     Minimizes beta * sum(errors^2)/2 + alpha * sum(weights^2)/2 with damped
     Gauss-Newton updates; unless fixed_regularization is given, alpha and
     beta are re-estimated each accepted step from the effective number of
-    parameters (evidence framework). Keeps the best-validation iterate.
+    parameters gamma (evidence framework). Keeps the best-validation iterate.
+
+    Each epoch decomposes the Gram matrix J J^T = U diag(s) U^T of the
+    (n*m, P) residual Jacobian once. By Woodbury, the damped step
+    (beta J^T J + lam I)^-1 grad with lam = alpha + mu is then
+    J^T U [(beta U^T e - (alpha beta/lam) U^T J theta) / (beta s + lam)]
+    + (alpha/lam) theta, and gamma = sum(beta s / (beta s + alpha)). This
+    holds for any n*m but is the cheap side only for n*m <= P.
     """
     controls = controls or TrainControls()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -213,7 +220,7 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
     x_all = (inputs - in_shift) / in_scale
     y_all = (targets - out_shift) / out_scale
 
-    layer_sizes = [d_in, *hidden, d_out]
+    layer_sizes = [d_in, *HIDDEN_LAYERS, d_out]
     # separate generators: the parameter draw must not depend on dataset size
     weights, biases = _init_parameters(layer_sizes, np.random.default_rng(controls.seed))
     n_val = int(round(controls.validation_fraction * n))
@@ -221,20 +228,18 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
         perm = np.random.default_rng(controls.seed + 9973).permutation(n)
         val_idx = perm[:n_val]
         train_idx = perm[n_val:]
-    else:
-        val_idx = np.empty(0, dtype=int)
-        train_idx = np.arange(n)
+    else:  # without a validation set, the training error selects the iterate
+        val_idx = train_idx = np.arange(n)
     x_tr, y_tr = x_all[train_idx], y_all[train_idx]
     x_val, y_val = x_all[val_idx], y_all[val_idx]
     theta = _flatten(weights, biases)
-    n_params = theta.shape[0]
     n_eff = x_tr.shape[0] * d_out
 
     if controls.fixed_regularization is not None:
         alpha, beta = controls.fixed_regularization
     else:
         alpha, beta = 1e-4, 1.0
-    mu = controls.mu_initial
+    mu = MU_INITIAL
 
     def objective(th):
         w, b = _unflatten(th, layer_sizes)
@@ -242,10 +247,6 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
         return 0.5 * beta * float(e @ e) + 0.5 * alpha * float(th @ th), e
 
     def val_rmse_of(th):
-        if x_val.shape[0] == 0:
-            w, b = _unflatten(th, layer_sizes)
-            e = (_forward(x_tr, w, b)[-1] - y_tr).ravel()
-            return float(np.sqrt(np.mean(e ** 2)))
         w, b = _unflatten(th, layer_sizes)
         e = (_forward(x_val, w, b)[-1] - y_val).ravel()
         return float(np.sqrt(np.mean(e ** 2)))
@@ -258,46 +259,41 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
     for epoch in range(controls.max_epochs):
         epochs_run = epoch + 1
         w, b = _unflatten(theta, layer_sizes)
-        jac, _ = _jacobian(x_tr, w, b, layer_sizes)
-        jtj = beta * (jac.T @ jac)
+        jac = _jacobian(x_tr, w, b)
         grad = beta * (jac.T @ err) + alpha * theta
         if np.linalg.norm(grad) <= 1e-10 * max(1.0, float(np.linalg.norm(theta))):
             best_theta = theta.copy()
             best_val = val_rmse_of(theta)
             break
 
+        gram_s, gram_u = np.linalg.eigh(jac @ jac.T)
+        # J J^T is positive semidefinite: rounding can leave its null
+        # eigenvalues slightly negative, which beta s + alpha must not cancel
+        gram_s = np.maximum(gram_s, 0.0)
+        u_err = gram_u.T @ err
+        u_jtheta = gram_u.T @ (jac @ theta)
         accepted = False
         for _ in range(25):
-            h = jtj.copy()
-            h[np.diag_indices_from(h)] += alpha + mu
-            try:
-                step_vec = np.linalg.solve(h, grad)
-            except np.linalg.LinAlgError:
-                mu *= controls.mu_raise
-                continue
-            candidate = theta - step_vec
+            lam = alpha + mu
+            coef = (beta * u_err - (alpha * beta / lam) * u_jtheta) / (beta * gram_s + lam)
+            candidate = theta - (jac.T @ (gram_u @ coef) + (alpha / lam) * theta)
             f_new, err_new = objective(candidate)
             if np.isfinite(f_new) and f_new < f_cur:
                 theta = candidate
                 f_cur, err = f_new, err_new
-                mu = max(mu * controls.mu_drop, 1e-14)
+                mu = max(mu * MU_DROP, 1e-14)
                 accepted = True
                 break
-            mu *= controls.mu_raise
-            if mu > controls.mu_limit:
+            mu *= MU_RAISE
+            if mu > MU_LIMIT:
                 break
         if not accepted:
             break
 
         if controls.fixed_regularization is None:
             # evidence re-estimation of the regularizers
-            h = jtj.copy()
-            h[np.diag_indices_from(h)] += alpha
-            try:
-                gamma = n_params - alpha * np.trace(np.linalg.inv(h))
-            except np.linalg.LinAlgError:
-                gamma = 0.5 * n_params
-            gamma = min(max(gamma, 1e-6), n_params)
+            gamma = float(np.sum(beta * gram_s / (beta * gram_s + alpha)))
+            gamma = min(max(gamma, 1e-6), theta.size)
             e_w = 0.5 * float(theta @ theta)
             e_d = 0.5 * float(err @ err)
             alpha = gamma / max(2.0 * e_w, 1e-12)
@@ -313,7 +309,6 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
             stale += 1
             if stale >= controls.patience:
                 break
-
 
     weights, biases = _unflatten(best_theta, layer_sizes)
     e_tr = (_forward(x_tr, weights, biases)[-1] - y_tr)

@@ -9,6 +9,7 @@ from flagsim import (
     paper_parameters,
 )
 from flagsim.elastic import evaluate_elastics
+from flagsim.geometry import SteeringDatapoint
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +75,19 @@ def fallback_sizes(dt, n_steps):
     """Step sizes after one failed full step at t=0: half steps for one second."""
     window = round(1.0 / dt)
     return [None] + [dt / 2] * (2 * window) + [None] * (n_steps - window)
+
+
+def make_synthetic_dataset(n=160, seed=0, cruise=2e-4):
+    """Smooth invertible ground truth emulating the steering data ranges."""
+    rng = np.random.default_rng(seed)
+    t_high = rng.uniform(2.0, 40.0, n)
+    t_low = rng.uniform(30.0, 400.0, n)
+    alpha = 1.8 * t_high * (1.0 + 0.10 * np.tanh(t_high / 15.0))
+    h = cruise * t_low * (1.0 + 0.05 * np.sin(t_high / 6.0))
+    beta = -25.0 + 1.3 * t_high - 0.01 * t_low
+    l = -cruise * (5.0 + 0.4 * t_high) - 1e-4 * np.sin(t_low / 50.0)
+    return [
+        SteeringDatapoint(t_high=float(th), t_low=float(tl), h=float(hh),
+                          alpha=float(a), beta=float(b), l=float(ll))
+        for th, tl, hh, a, b, ll in zip(t_high, t_low, h, alpha, beta, l)
+    ]

@@ -12,10 +12,21 @@ writes, next to this script:
 - pulse_tiny.npz: head and node-1 samples of the tiny rod (desk preset,
   N=16, dt=5 ms) on the 0.5 s grid for 3 s: 1 s at 3 rpm, a 1 s pulse at
   15 rpm, then 3 rpm again.
+- training.npz: inputs, targets, predictions on those inputs and epochs
+  of trained regressors. "maps_*" are the four inverse maps that
+  fit_inverse_maps(conftest.make_synthetic_dataset(), TrainControls(seed=13,
+  max_epochs=60)) fits, 128 training residuals each; "wide_*" is one
+  train_regressor fit for 10 epochs on 450 seeded rows, whose 360 training
+  residuals (90 rows are held out) outnumber the 331 parameters.
 
-The committed files were recorded at commit e5b6400, the last revision
-with the entry-by-entry bend/twist Hessian. Re-record only after a
-deliberate change to the physics.
+jacobian_n10.npz and pulse_tiny.npz were recorded at commit e5b6400, the
+last revision with the entry-by-entry bend/twist Hessian; training.npz at
+commit 35e3801, the last revision that solved each damped Gauss-Newton
+step with np.linalg.solve on the parameter-space matrix. Re-record only
+after a deliberate change to the physics or the trainer. Name fixtures to
+record only those:
+
+    PYTHONPATH=src python tests/data/record_fixtures.py training
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from conftest import committed_perturbation  # noqa: E402
+from conftest import committed_perturbation, make_synthetic_dataset  # noqa: E402
 from flagsim import (  # noqa: E402
     ElasticStiffnesses,
     RestConfiguration,
@@ -38,6 +49,12 @@ from flagsim import (  # noqa: E402
     paper_parameters,
 )
 from flagsim.elastic import evaluate_elastics  # noqa: E402
+from flagsim.learning import (  # noqa: E402
+    TrainControls,
+    dataset_arrays,
+    fit_inverse_maps,
+    train_regressor,
+)
 from flagsim.stepper import AngularVelocityProfile, simulate  # noqa: E402
 
 RPM = 2.0 * math.pi / 60.0
@@ -73,6 +90,36 @@ def record_pulse() -> dict[str, np.ndarray]:
     return {"times": traj.times, "head": traj.head, "node1": traj.node1}
 
 
+def record_training() -> dict[str, np.ndarray]:
+    data = make_synthetic_dataset()
+    maps = fit_inverse_maps(data, TrainControls(seed=13, max_epochs=60))
+    cols = dataset_arrays(data)
+    geometry_in = np.stack([cols["h"], cols["alpha"]], axis=1)
+    timing_in = np.stack([cols["t_high"], cols["t_low"]], axis=1)
+    out = {}
+    for name, x, y in (("f_high", geometry_in, cols["t_high"]),
+                       ("f_low", geometry_in, cols["t_low"]),
+                       ("f_beta", timing_in, cols["beta"]),
+                       ("f_l", timing_in, cols["l"])):
+        result = getattr(maps, name)
+        out[f"maps_{name}_inputs"] = x
+        out[f"maps_{name}_targets"] = y
+        out[f"maps_{name}_pred"] = result.model.predict(x)[:, 0]
+        out[f"maps_{name}_epochs"] = np.array(result.epochs)
+    rng = np.random.default_rng(19)
+    x = rng.uniform(-1.0, 1.0, size=(450, 2))
+    y = np.sin(2.0 * x[:, 0]) * np.cos(x[:, 1]) + 0.3 * x[:, 1]
+    wide = train_regressor(x, y, TrainControls(seed=20, max_epochs=10))
+    out["wide_inputs"] = x
+    out["wide_targets"] = y
+    out["wide_pred"] = wide.model.predict(x)[:, 0]
+    out["wide_epochs"] = np.array(wide.epochs)
+    return out
+
+
+RECORDERS = {"jacobian_n10": record_jacobians, "pulse_tiny": record_pulse,
+             "training": record_training}
+
 if __name__ == "__main__":
-    np.savez(HERE / "jacobian_n10.npz", **record_jacobians())
-    np.savez(HERE / "pulse_tiny.npz", **record_pulse())
+    for name in sys.argv[1:] or RECORDERS:
+        np.savez(HERE / f"{name}.npz", **RECORDERS[name]())

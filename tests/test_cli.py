@@ -19,6 +19,7 @@ from flagsim.cli import (
 from flagsim.config import ConfigError, load_config, preset
 from flagsim.geometry import SteeringDatapoint, polyline_distance
 from flagsim.hydro import HydroSolveError
+from flagsim.learning import MLPModel
 from flagsim.stepper import StepControls
 
 
@@ -262,3 +263,47 @@ def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
     assert rc == 1
     assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "d.csv").exists()
+
+
+RAGGED_WAYPOINTS = [[0.1, 0.0, 0.0], [0.2, 0.0]]
+
+
+def write_models(directory):
+    """Four valid (linear, zero) model files for the control command."""
+    directory.mkdir()
+    model = MLPModel(layer_sizes=[2, 1], weights=[np.zeros((1, 2))], biases=[np.zeros(1)],
+                     input_shift=np.zeros(2), input_scale=np.ones(2),
+                     output_shift=np.zeros(1), output_scale=np.ones(1))
+    for name in ("f_H", "f_L", "f_beta", "f_l"):
+        model.save(directory / f"{name}.json")
+
+
+@pytest.mark.parametrize("content, argv", [
+    (DATASET_HEADER + "\n" + "1,2,3,4,5,6\n" * 19, ["train", "--dataset", "{input}"]),
+    ({}, ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    ([[0.0, 3.0]], ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    ({"breakpoints_rpm": [[0.0, 3.0], [1.0]]},
+     ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    ({"breakpoints_rpm": [[1.0, 3.0], [1.0, 15.0]]},
+     ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    (None, ["simulate", "--config", "{config}", "--duration", "-1"]),
+    (RAGGED_WAYPOINTS, ["eval", "--trajectory", "{trajectory}", "--waypoints", "{input}"]),
+    (RAGGED_WAYPOINTS, ["control", "--config", "{config}", "--models", "{models}",
+                        "--waypoints", "{input}"]),
+], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
+        "profile-not-increasing", "negative-duration", "eval-ragged-waypoints",
+        "control-ragged-waypoints"])
+def test_bad_input_is_input_error(tmp_path, capsys, content, argv):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    trajectory = tmp_path / "traj.csv"
+    trajectory.write_text(TRAJECTORY_HEADER + "\n" + "0,0,0,0,0,0,0,0,0,0,0.3\n" * 2)
+    write_models(tmp_path / "models")
+    out = tmp_path / "out"
+    names = {"input": path, "config": tiny_config(tmp_path), "trajectory": trajectory,
+             "models": tmp_path / "models"}
+    rc = main([a.format(**names) for a in argv] + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()

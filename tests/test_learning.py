@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_synthetic_dataset
 from flagsim.geometry import SteeringDatapoint
 from flagsim.learning import (
     MLPModel,
@@ -14,22 +15,6 @@ from flagsim.learning import (
     steering_slope,
     train_regressor,
 )
-
-
-def make_synthetic_dataset(n=160, seed=0, cruise=2e-4):
-    """Smooth invertible ground truth emulating the steering data ranges."""
-    rng = np.random.default_rng(seed)
-    t_high = rng.uniform(2.0, 40.0, n)
-    t_low = rng.uniform(30.0, 400.0, n)
-    alpha = 1.8 * t_high * (1.0 + 0.10 * np.tanh(t_high / 15.0))
-    h = cruise * t_low * (1.0 + 0.05 * np.sin(t_high / 6.0))
-    beta = -25.0 + 1.3 * t_high - 0.01 * t_low
-    l = -cruise * (5.0 + 0.4 * t_high) - 1e-4 * np.sin(t_low / 50.0)
-    return [
-        SteeringDatapoint(t_high=float(th), t_low=float(tl), h=float(hh),
-                          alpha=float(a), beta=float(b), l=float(ll))
-        for th, tl, hh, a, b, ll in zip(t_high, t_low, h, alpha, beta, l)
-    ]
 
 
 def test_constant_target():

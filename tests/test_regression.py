@@ -1,9 +1,14 @@
-"""The elastic kernel and a short trajectory against recorded references.
+"""The elastic kernel, a short trajectory and trained regressors against
+recorded references.
 
 tests/data/record_fixtures.py says how the references were made. The
 kernel arrays match to 1e-12 relative (reordered floating-point sums move
 them by about 1e-16); the trajectory, which compounds rounding over 600
-Newton steps, matches to 1e-9 of the head's travel.
+Newton steps, matches to 1e-9 of the head's travel. The regressors were
+recorded with a parameter-space solve of each damped Gauss-Newton step;
+the Gram-matrix solve that replaced it reorders the sums, so predictions
+on the training inputs match to 1e-8 of each target's spread, after equal
+epochs.
 """
 
 import math
@@ -12,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_synthetic_dataset
 from flagsim import (
     ElasticStiffnesses,
     RestConfiguration,
@@ -20,6 +26,7 @@ from flagsim import (
     paper_parameters,
 )
 from flagsim.elastic import evaluate_elastics
+from flagsim.learning import TrainControls, fit_inverse_maps, train_regressor
 from flagsim.stepper import AngularVelocityProfile, simulate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -58,3 +65,26 @@ def test_pulse_trajectory_matches_recorded():
     np.testing.assert_array_equal(traj.times, ref["times"])
     assert np.max(np.abs(traj.head - ref["head"])) <= 1e-9 * travel
     assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-9 * travel
+
+
+def assert_fit_matches(result, ref, prefix):
+    x, y = ref[f"{prefix}_inputs"], ref[f"{prefix}_targets"]
+    assert result.epochs == int(ref[f"{prefix}_epochs"])
+    drift = np.max(np.abs(result.model.predict(x)[:, 0] - ref[f"{prefix}_pred"]))
+    assert drift <= 1e-8 * np.ptp(y)
+
+
+def test_inverse_maps_match_recorded():
+    # 128 training residuals per map against 331 parameters
+    ref = np.load(DATA / "training.npz")
+    maps = fit_inverse_maps(make_synthetic_dataset(), TrainControls(seed=13, max_epochs=60))
+    for name in ("f_high", "f_low", "f_beta", "f_l"):
+        assert_fit_matches(getattr(maps, name), ref, f"maps_{name}")
+
+
+def test_fit_with_more_residuals_than_parameters_matches_recorded():
+    # 450 rows, 90 held out: 360 training residuals against 331 parameters
+    ref = np.load(DATA / "training.npz")
+    result = train_regressor(ref["wide_inputs"], ref["wide_targets"],
+                             TrainControls(seed=20, max_epochs=10))
+    assert_fit_matches(result, ref, "wide")
