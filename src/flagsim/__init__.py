@@ -1,7 +1,7 @@
 """Simulation and control toolkit for a uniflagellar swimming robot."""
 
 from .params import PhysicalParameters, desk_parameters, paper_parameters
-from .rod import HelixSpec, RodState, build_initial_configuration
+from .rod import RodState, build_initial_configuration
 from .elastic import ElasticStiffnesses, RestConfiguration
 from .stepper import AngularVelocityProfile, HeadTrajectory, StepControls, simulate, step
 
@@ -9,7 +9,6 @@ __all__ = [
     "PhysicalParameters",
     "desk_parameters",
     "paper_parameters",
-    "HelixSpec",
     "RodState",
     "build_initial_configuration",
     "ElasticStiffnesses",

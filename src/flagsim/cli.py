@@ -34,7 +34,6 @@ from .learning import (
     fit_inverse_maps,
     fit_joint_inverse_map,
     generate_dataset,
-    measure_cruise,
 )
 from .stepper import AngularVelocityProfile, SimulationError, simulate
 
@@ -196,11 +195,23 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Fit every map, the joint one first, before writing any file: a failed fit writes none."""
     points = read_dataset_csv(args.dataset)
     controls = TrainControls(seed=args.seed if args.seed is not None else 0)
+    meta_path = os.path.splitext(args.dataset)[0] + "_meta.json"
+    calibration = {}
+    if os.path.exists(meta_path):
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        calibration["cruise_speed_m_s"] = meta.get("cruise_speed_m_s")
+    cruise = calibration.get("cruise_speed_m_s")
+    if args.joint and cruise is None:
+        raise ConfigError(f"joint training needs the cruise speed from {meta_path}")
     try:
+        joint = (fit_joint_inverse_map(points, cruise, controls, scaled=True)
+                 if args.joint else None)
         maps = fit_inverse_maps(points, controls)
-    except ValueError as exc:  # an empty, too small or non-finite dataset
+    except ValueError as exc:  # an empty, too small, non-finite or unsteered dataset
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     report = {}
@@ -211,19 +222,7 @@ def cmd_train(args) -> int:
                                        indent=1, sort_keys=True) + "\n")
         report[name] = {"train_rmse": result.train_rmse,
                         "val_rmse": result.val_rmse, "epochs": result.epochs}
-    meta_path = os.path.splitext(args.dataset)[0] + "_meta.json"
-    calibration = {}
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        calibration["cruise_speed_m_s"] = meta.get("cruise_speed_m_s")
-    if args.joint:
-        cruise = calibration.get("cruise_speed_m_s")
-        if cruise is None:
-            print("joint training needs the dataset meta file for the cruise speed",
-                  file=sys.stderr)
-            return 1
-        joint = fit_joint_inverse_map(points, cruise, controls, scaled=True)
+    if joint is not None:
         _atomic_write(os.path.join(args.out, "f_HL_joint.json"),
                       json.dumps(joint.model.to_json_dict(), indent=1,
                                  sort_keys=True) + "\n")
@@ -234,7 +233,7 @@ def cmd_train(args) -> int:
                   json.dumps(calibration, indent=1, sort_keys=True) + "\n")
     _atomic_write(os.path.join(args.out, "training_report.json"),
                   json.dumps(report, indent=1, sort_keys=True) + "\n")
-    print(f"wrote 4 model files to {args.out}")
+    print(f"wrote {len(report)} model files to {args.out}")
     return 0
 
 

@@ -57,8 +57,6 @@ _PHYS_KEYS = {
 _SOLVER_KEYS = {
     "newton_tol": "newton_tol",
     "max_newton_iters": "max_newton_iters",
-    "mobility_floor": "mobility_floor",
-    "mobility_refresh": "mobility_refresh",
 }
 
 _CONTROL_KEYS = {

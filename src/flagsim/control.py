@@ -347,7 +347,7 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
 
     k = config.history_length
     state = integrator.state
-    times = [0.0]
+    times = [integrator.time]
     head = [state.positions[0].copy()]
     node1 = [state.positions[1].copy()]
     node2 = [state.positions[2].copy()]
@@ -360,7 +360,7 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
         w = controller.omega_at(obs_i)
         integrator.advance(w, steps_per_obs)
         state = integrator.state
-        t_now = (obs_i + 1) * dt_obs
+        t_now = integrator.time
         times.append(t_now)
         head.append(state.positions[0].copy())
         node1.append(state.positions[1].copy())

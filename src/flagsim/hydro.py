@@ -139,17 +139,6 @@ def head_spin_from_torque_balance(forces: np.ndarray, r_h: np.ndarray,
     return total / (8.0 * math.pi * viscosity * b ** 3)
 
 
-def _cross_matrices(v: np.ndarray) -> np.ndarray:
-    m = np.zeros((v.shape[0], 3, 3))
-    m[:, 0, 1] = -v[:, 2]
-    m[:, 0, 2] = v[:, 1]
-    m[:, 1, 0] = v[:, 2]
-    m[:, 1, 2] = -v[:, 0]
-    m[:, 2, 0] = -v[:, 1]
-    m[:, 2, 1] = v[:, 0]
-    return m
-
-
 def clamped_spectrum(mobility: MobilityOperator, floor_fraction: float,
                      viscosity: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenbasis of the mobility with eigenvalues floored.
@@ -196,7 +185,7 @@ def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
     f_base = (vecs @ (inv * (vecs.T @ u_rel))).reshape(n, 3)
 
     # Stacked linear map Omega -> rotational flow at the nodes.
-    cross_r = _cross_matrices(r_h)
+    cross_r = cross_rows(np.eye(3), r_h[:, None, :])  # row i is e_i x r: cross_r @ f = r x f
     scale = (b ** 3 / r ** 3)[:, None, None]
     flow = (-scale * cross_r).reshape(3 * n, 3)  # (b^3/r^3) Omega x r
     f_rot = (vecs @ (inv[:, None] * (vecs.T @ flow))).reshape(n, 3, 3)

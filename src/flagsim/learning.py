@@ -348,7 +348,7 @@ class DatasetSpec:
     t_high_grid: tuple                # pulse durations [s]
     settle_time: float                # t0: pulse application instant [s]
     segments_per_trajectory: int = 8
-    seed: int = 0
+    seed: int = 0                     # recorded in the metadata; generation draws no random numbers
 
     def __post_init__(self):
         if self.total_time <= 0.0 or self.settle_time <= 0.0:
@@ -450,9 +450,11 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     learning.simulate is called once per grid entry, in grid order, then
     once for the calibration, each call returning the trajectory from t = 0.
     Segments with different end points become individual datapoints.
-    Deterministic given the seed; a failing trajectory is logged as a
-    rejection and skipped rather than aborting the run (a failure during the
-    settle rejects every entry), while a failing calibration raises.
+    Deterministic without a seed: no random numbers are drawn, and
+    identical inputs give bit-identical outputs. A failing trajectory is
+    logged as a rejection and skipped rather than aborting the run (a
+    failure during the settle rejects every entry), while a failing
+    calibration raises.
     """
     if not omega_low < omega_buckling < omega_high:
         raise ValueError("need omega_low < omega_buckling < omega_high")

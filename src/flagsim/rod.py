@@ -10,7 +10,7 @@ angles: q = [x_0, theta^0, x_1, theta^1, ..., x_{N-2}, theta^{N-2}, x_{N-1}].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +25,6 @@ class DegenerateEdgeError(ValueError):
     """An edge collapsed below the minimum resolvable length."""
 
 
-@dataclass(frozen=True)
-class HelixSpec:
-    """Discretization of the helical filament."""
-
-    handedness: str            # "right" or "left"
-    n_helix_nodes: int         # nodes on the helix (x_1 .. x_{N-1})
-    contour_edge_length: float  # chord length between helix nodes, == 2*delta
-
-    def __post_init__(self):
-        if self.handedness not in ("right", "left"):
-            raise ValueError(f"handedness must be 'right' or 'left', got {self.handedness!r}")
-        if self.n_helix_nodes < 2:
-            raise ValueError("need at least two helix nodes")
-        if not self.contour_edge_length > 0.0:
-            raise ValueError("contour_edge_length must be positive")
-
-
 @dataclass
 class RodState:
     """Full configuration of the discretized robot at one instant."""
@@ -52,9 +35,6 @@ class RodState:
     ref_d1: np.ndarray              # (N-1, 3) reference director 1 per edge
     ref_d2: np.ndarray              # (N-1, 3)
     ref_twist: np.ndarray           # (N-2,) accumulated reference twist per internal node
-    head_velocity: np.ndarray       # (3,)
-    head_angular_velocity: np.ndarray  # (3,)
-    time: float = 0.0
 
     @property
     def node_count(self) -> int:
@@ -86,9 +66,6 @@ class RodState:
             ref_d1=self.ref_d1.copy(),
             ref_d2=self.ref_d2.copy(),
             ref_twist=self.ref_twist.copy(),
-            head_velocity=self.head_velocity.copy(),
-            head_angular_velocity=self.head_angular_velocity.copy(),
-            time=self.time,
         )
 
 
@@ -237,22 +214,6 @@ def _next_phase(params: PhysicalParameters, phi: float) -> float:
     return phi + 0.5 * (lo + hi)
 
 
-def helix_spec(params: PhysicalParameters) -> HelixSpec:
-    """Discretization implied by the parameter set, with a consistency check."""
-    n_helix = params.node_count - 1
-    arc = (params.node_count - 2) * params.edge_length
-    if arc > params.helix_contour_length + params.edge_length:
-        raise RodBuildError(
-            f"(N-2) edges of 2*delta span {arc:.6g} m but the helix contour from "
-            f"(L, lambda, R) is only {params.helix_contour_length:.6g} m"
-        )
-    return HelixSpec(
-        handedness="right",
-        n_helix_nodes=n_helix,
-        contour_edge_length=params.edge_length,
-    )
-
-
 def build_initial_configuration(params: PhysicalParameters) -> RodState:
     """Construct the stress-free initial state: head, shaft edge, filament.
 
@@ -262,10 +223,16 @@ def build_initial_configuration(params: PhysicalParameters) -> RodState:
     one edge length (2*delta) long, found by bisection on the phase. Twist
     angles start at zero and the frames are space-parallel-transported, so
     the as-built state carries no elastic strain. Deterministic: identical
-    params give bit-identical states.
+    params give bit-identical states. RodBuildError when the N-2 contour
+    edges are longer than the helix contour that (L, lambda, R) allows.
     """
-    helix_spec(params)
     n = params.node_count
+    arc = (n - 2) * params.edge_length
+    if arc > params.helix_contour_length + params.edge_length:
+        raise RodBuildError(
+            f"(N-2) edges of 2*delta span {arc:.6g} m but the helix contour from "
+            f"(L, lambda, R) is only {params.helix_contour_length:.6g} m"
+        )
 
     positions = np.zeros((n, 3))
     base = np.array([params.head_radius, 0.0, 0.0])
@@ -294,7 +261,4 @@ def build_initial_configuration(params: PhysicalParameters) -> RodState:
         ref_d1=d1,
         ref_d2=d2,
         ref_twist=np.zeros(n - 2),
-        head_velocity=np.zeros(3),
-        head_angular_velocity=np.zeros(3),
-        time=0.0,
     )

@@ -9,9 +9,14 @@ Integrator is the one stepping loop: Integrator.observe samples it on an
 observation grid (simulate and the dataset settle run through it) and
 control.run_closed_loop advances it between controller decisions, so all
 share the mobility-spectrum cache, the substep fallback and the error
-reporting. Integrator.copy forks a run exactly, and simulate continues a
-run from such a checkpoint, so runs that share a start compute it once.
-step is one time step and holds no state between calls.
+reporting. Integrator.time = steps * dt is the one clock of a run: RodState
+holds the rod and no time. Integrator.copy forks a run exactly, and
+simulate continues a run from such a checkpoint, so runs that share a start
+compute it once. step is one time step and holds no state between calls.
+
+The drag solve goes through the mobility spectrum with its eigenvalues
+floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum);
+Integrator recomputes it every MOBILITY_REFRESH full steps.
 """
 
 from __future__ import annotations
@@ -47,29 +52,28 @@ class SimulationError(RuntimeError):
     pass
 
 
+MOBILITY_FLOOR = 0.25  # spectral floor of the drag solve, as a fraction of the local drag
+MOBILITY_REFRESH = 8   # full steps between spectrum recomputations in Integrator
+
+
 @dataclass(frozen=True)
 class StepControls:
     """Solver settings of step and Integrator.
 
     The Newton matrix is always the analytic banded elastic Jacobian and the
-    drag solve always goes through the clamped mobility spectrum.
+    drag solve always goes through the mobility spectrum clamped at
+    MOBILITY_FLOOR.
     """
 
     newton_tol: float = 1e-6        # relative force-residual tolerance
     max_newton_iters: int = 50
     time_step: float | None = None  # None -> PhysicalParameters.time_step
-    mobility_floor: float = 0.25    # spectral floor for the drag solve, fraction of local drag
-    mobility_refresh: int = 8       # steps between spectrum recomputations
 
     def __post_init__(self):
         if not 0.0 < self.newton_tol <= 1e-2:
             raise ValueError(f"newton_tol must lie in (0, 1e-2], got {self.newton_tol}")
         if self.max_newton_iters < 5:
             raise ValueError(f"max_newton_iters must be >= 5, got {self.max_newton_iters}")
-        if self.mobility_floor <= 0.0:
-            raise ValueError(f"mobility_floor must be positive, got {self.mobility_floor}")
-        if self.mobility_refresh < 1:
-            raise ValueError("mobility_refresh must be at least 1")
 
 
 @dataclass
@@ -141,28 +145,25 @@ def sample_count(duration: float, observation_interval: float) -> int:
     return int(math.floor(duration / observation_interval + 1e-9)) + 1
 
 
-def mobility_spectrum(state: RodState, params: PhysicalParameters,
-                      controls: StepControls) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped spectrum of the flagellar mobility at the current configuration."""
+def mobility_spectrum(state: RodState, params: PhysicalParameters) -> tuple[np.ndarray, np.ndarray]:
+    """Flagellar mobility spectrum at the current configuration, clamped at MOBILITY_FLOOR."""
     mobility = hydro.assemble_mobility(
         state.positions[1:], hydro.node_tangents(state.tangents),
         params.viscosity, params.cutoff,
     )
-    return hydro.clamped_spectrum(mobility, controls.mobility_floor, params.viscosity)
+    return hydro.clamped_spectrum(mobility, MOBILITY_FLOOR, params.viscosity)
 
 
 def external_force(state: RodState, params: PhysicalParameters,
-                   controls: StepControls,
-                   spectrum: tuple[np.ndarray, np.ndarray] | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hydrodynamic force vector at the current configuration.
+                   spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Hydrodynamic force vector f_ext over all DOFs at the current configuration.
 
-    The head spin is closed self-consistently with the flagellar forces by
-    torque balance inside the solve. Returns (f_ext over all DOFs, flagellar
-    node forces (N-1, 3), head spin). spectrum is the clamped mobility
-    spectrum to solve with (Integrator passes a cached one, refreshed every
-    controls.mobility_refresh steps; the configuration drifts a fraction of
-    an edge length in between); None computes it here.
+    The head velocity is the state's velocities[0:3]; the head spin is
+    closed self-consistently with the flagellar forces by torque balance
+    inside the solve. spectrum is the clamped mobility spectrum to solve
+    with (Integrator passes a cached one, refreshed every MOBILITY_REFRESH
+    full steps; the configuration drifts a fraction of an edge length in
+    between); None computes it here.
     """
     n = params.node_count
     pos = state.positions
@@ -170,14 +171,13 @@ def external_force(state: RodState, params: PhysicalParameters,
     pos_idx, _ = node_dof_indices(n)
     node_vel = state.velocities[pos_idx]
     if spectrum is None:
-        spectrum = mobility_spectrum(state, params, controls)
+        spectrum = mobility_spectrum(state, params)
     f_flag, head_spin = hydro.solve_forces_and_head_spin(
-        spectrum, node_vel[1:], r_h, state.head_velocity,
+        spectrum, node_vel[1:], r_h, node_vel[0],
         params.head_radius, params.viscosity,
     )
     f_head, _ = hydro.head_force_torque(
-        f_flag, r_h, params.head_radius, params.viscosity,
-        state.head_velocity, head_spin,
+        f_flag, r_h, params.head_radius, params.viscosity, node_vel[0], head_spin,
     )
     f_ext = np.zeros(4 * n - 1)
     f_ext[pos_idx[1:]] = f_flag
@@ -194,7 +194,7 @@ def external_force(state: RodState, params: PhysicalParameters,
     mount = (8.0 * math.pi * params.viscosity * params.head_radius ** 3 / e0_len2) * v_perp
     f_ext[4:7] -= mount
     f_ext[0:3] += mount
-    return f_ext, f_flag, head_spin
+    return f_ext
 
 
 def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
@@ -213,7 +213,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     v_old = state.velocities
     mass = rest.mass
 
-    f_ext, f_flag, head_spin = external_force(state, params, controls, spectrum)
+    f_ext = external_force(state, params, spectrum)
 
     free = np.ones(4 * n - 1, dtype=bool)
     free[3] = False  # theta^0 carries the prescribed rotation
@@ -287,18 +287,13 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     diag.converged = converged
 
     pos_new, th_new = unpack_dofs(q_new)
-    v_new = (q_new - q_old) / dt
-    omega_head = head_spin
     new_state = RodState(
         positions=pos_new,
         thetas=th_new,
-        velocities=v_new,
+        velocities=(q_new - q_old) / dt,
         ref_d1=ev.d1,
         ref_d2=ev.d2,
         ref_twist=ev.ref_twist,
-        head_velocity=v_new[0:3].copy(),
-        head_angular_velocity=omega_head,
-        time=state.time + dt,
     )
     return new_state, diag
 
@@ -308,12 +303,13 @@ class Integrator:
 
     Owns a copy of the state, the rest configuration (built from params
     when not given), the stiffnesses, the time step and the step count;
-    time is t0 + steps * dt. The clamped mobility spectrum is cached and
-    refreshed every controls.mobility_refresh full steps. On a step that
-    fails to converge the integrator drops to half (then quarter) substeps
-    and keeps the reduction for a one-second recovery window before trying
-    the full step again; the cache is cleared when the window opens. Only a
-    failure at the finest level propagates, as SimulationError. An edge
+    time is steps * dt, counted from the given or built state. The clamped
+    mobility spectrum is cached and refreshed every MOBILITY_REFRESH full
+    steps. On a step that fails to converge the integrator drops to half
+    (then quarter) substeps and keeps the reduction for a one-second
+    recovery window before trying the full step again; the cache is
+    cleared when the window opens. Only a failure at the finest level
+    propagates, as SimulationError. An edge
     that collapses or reverses (DegenerateEdgeError, e.g. in step's explicit
     predictor) takes the same retries. A HydroSolveError (e.g. two nodes
     closer than the cutoff) becomes SimulationError at once, without substep
@@ -332,16 +328,15 @@ class Integrator:
         self.state = state.copy() if state is not None else built
         self.rest = rest if rest is not None else RestConfiguration.from_built_state(params, built)
         self.stiff = ElasticStiffnesses.from_parameters(params)
-        self.t0 = self.state.time
         self.steps = 0
         self._spectrum = None
-        self._age = 0  # full steps attempted; a multiple of mobility_refresh refreshes
+        self._age = 0  # full steps attempted; a multiple of MOBILITY_REFRESH refreshes
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
 
     @property
     def time(self) -> float:
-        return self.t0 + self.steps * self.dt
+        return self.steps * self.dt
 
     def copy(self) -> "Integrator":
         """An exact fork: state, step count, spectrum cache and fallback window.
@@ -372,8 +367,9 @@ class Integrator:
                 observation_interval: float) -> HeadTrajectory:
         """Sample the current state, then one sample every observation interval.
 
-        omega is read from the profile before every step; a sample's omega
-        is the rate applied from it onwards.
+        A sample's time is the integrator's time. omega is read from the
+        profile before every step; a sample's omega is the rate applied from
+        it onwards.
         """
         steps_per_obs = self.steps_per(observation_interval)
         times = np.empty(n_samples)
@@ -386,7 +382,7 @@ class Integrator:
                 for _ in range(steps_per_obs):
                     self.advance(profile.value_at(self.time))
             state = self.state
-            times[i] = state.time
+            times[i] = self.time
             head[i] = state.positions[0]
             node1[i] = state.positions[1]
             node2[i] = state.positions[2]
@@ -417,8 +413,8 @@ class Integrator:
         self.steps += 1
 
     def _full_step(self, omega: float) -> None:
-        if self._spectrum is None or self._age % self.controls.mobility_refresh == 0:
-            self._spectrum = mobility_spectrum(self.state, self.params, self.controls)
+        if self._spectrum is None or self._age % MOBILITY_REFRESH == 0:
+            self._spectrum = mobility_spectrum(self.state, self.params)
         self._age += 1
         self.state, _ = step(self.state, self.rest, self.stiff, self.params, omega,
                              self.controls, self._spectrum)
@@ -447,7 +443,7 @@ def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
     omega is read from the profile at the start of every step.
 
     start continues a run from a checkpoint (integrator, samples so far),
-    where the samples end at the integrator's current state and were taken
+    where the samples end at the integrator's current time and were taken
     under a profile that agrees with this one up to that state. The
     integrator is advanced in place and the call returns the checkpoint's
     samples plus the new ones, bit-identical to a run of the profile from
@@ -468,8 +464,8 @@ def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
                          "initial_state and rest must not be given with it")
     if params != integrator.params or (controls is not None and controls != integrator.controls):
         raise ValueError("start was run with other parameters or step controls")
-    if prefix.times[-1] != integrator.state.time:
-        raise ValueError("the checkpoint's samples must end at its integrator's state")
+    if prefix.times[-1] != integrator.time:
+        raise ValueError("the checkpoint's samples must end at its integrator's time")
     done = prefix.times.shape[0] - 1  # the last sample is the current state
     if n_samples <= done:
         return prefix.first(n_samples)

@@ -65,13 +65,20 @@ def test_config_override(tmp_path):
     assert cfg.physical.node_count == 42  # preset value retained
 
 
-def test_mobility_floor_must_be_positive(tmp_path):
-    with pytest.raises(ValueError):
-        StepControls(mobility_floor=0.0)
+def test_spectrum_policy_keys_are_unknown(tmp_path, capsys):
+    # the spectral floor and its refresh interval are stepper constants
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"solver": {"mobility_floor": 0}}))
-    with pytest.raises(ConfigError):
-        load_config(path, "desk")
+    for key in ("mobility_floor", "mobility_refresh"):
+        with pytest.raises(TypeError):
+            StepControls(**{key: 1})
+        path.write_text(json.dumps({"solver": {key: 1}}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, "desk")
+        rc = main(["simulate", "--config", str(path), "--duration", "1.0",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert f"input error: unknown keys in 'solver': ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -168,6 +175,29 @@ def test_train_and_retrain_identical(tmp_path):
         a = (out1 / f"{name}.json").read_bytes()
         b = (out2 / f"{name}.json").read_bytes()
         assert a == b
+
+
+@pytest.mark.parametrize("turn, meta, message", [
+    (lambda t_high: 2.0 * t_high, False, "needs the cruise speed"),
+    # alpha falls, then rises symmetrically: the fitted slope is exactly 0
+    (lambda t_high: 2.0 * abs(t_high - 11.5), True, "not significantly nonzero"),
+], ids=["no-meta-file", "no-steering-variation"])
+def test_joint_training_failure_writes_nothing(tmp_path, capsys, turn, meta, message):
+    # the joint map is fitted before the four separate ones and before any
+    # file is written; its failures are input errors
+    points = [SteeringDatapoint(t_high=th, t_low=100.0 + th, h=0.02, alpha=turn(th),
+                                beta=-20.0 + th, l=-0.004)
+              for th in np.arange(2.0, 22.0)]
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(dataset_csv(points))
+    if meta:
+        (tmp_path / "data_meta.json").write_text(json.dumps({"cruise_speed_m_s": 2e-4}))
+    out = tmp_path / "models"
+    rc = main(["train", "--dataset", str(data_path), "--out", str(out), "--joint"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert not out.exists()
 
 
 def test_control_missing_model_file(tmp_path):

@@ -153,8 +153,18 @@ def test_failures_are_rejected_per_entry(monkeypatch, coarse):
     assert cruise_starts[-1] is not None
 
     # A failure during the settle rejects every entry, and the calibration,
-    # run again from the start, still raises.
-    monkeypatch.setattr(stepper, "step", failing_step(lambda state, omega: state.time >= 2.0))
+    # run again from the start, still raises. Every run fails on its ninth
+    # step, the one from t = 2 s.
+    steps = []
+
+    def ninth_step(state, omega):
+        steps.append(omega)
+        if len(steps) == 9:
+            steps.clear()
+            return True
+        return False
+
+    monkeypatch.setattr(stepper, "step", failing_step(ninth_step))
     with pytest.raises(SimulationError, match="t=2.000000s"):
         run(coarse, spec)
     assert cruise_starts[-1] is None

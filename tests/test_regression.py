@@ -62,7 +62,8 @@ def test_pulse_trajectory_matches_recorded():
     traj = simulate(params, profile, 3.0, 0.5)
     travel = np.max(np.linalg.norm(ref["head"] - ref["head"][0], axis=1))
     assert travel > 1e-3  # the robot moves a millimetre or more
-    np.testing.assert_array_equal(traj.times, ref["times"])
+    # sample times are steps * dt; the fixture holds the running sum of dt
+    np.testing.assert_array_equal(traj.times, 0.5 * np.arange(7))
     assert np.max(np.abs(traj.head - ref["head"])) <= 1e-9 * travel
     assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-9 * travel
 

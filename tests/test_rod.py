@@ -7,7 +7,6 @@ from flagsim.params import PhysicalParameters
 from flagsim.rod import (
     DegenerateEdgeError,
     RodBuildError,
-    helix_spec,
     material_frames,
     pack_dofs,
     parallel_transport,
@@ -54,7 +53,7 @@ def test_built_edges_are_uniform(paper_built, paper_params):
 def test_build_rejects_inconsistent_discretization():
     base = paper_parameters()
     with pytest.raises(RodBuildError):
-        helix_spec(replace(base, node_count=240))
+        build_initial_configuration(replace(base, node_count=240))
 
 
 def test_build_is_deterministic(paper_params):
