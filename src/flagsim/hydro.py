@@ -6,6 +6,11 @@ perpendicular to the node tangent, plus pairwise Oseen-tensor interactions.
 The head contributes a translating/rotating-sphere flow along the filament,
 a force and torque induced by the filament forces, and Stokes drag; its spin
 rate closes the problem through whole-robot torque balance.
+
+A mobility refresh uses one (3n, 3n) buffer: assemble_mobility writes the
+operator into it, and clamped_spectrum lets LAPACK overwrite it with the
+eigenvectors. solve_forces_and_head_spin then applies that spectrum to all
+its right-hand sides at once, reading the eigenvectors twice per call.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .rod import cross_rows
 
@@ -58,9 +64,11 @@ def assemble_mobility(positions: np.ndarray, tangents: np.ndarray,
     positions: (n, 3) flagellar node positions; tangents: (n, 3) node tangents.
     Diagonal blocks are the perpendicular projector over 8*pi*mu*delta; the
     (j, k) block is [I + rhat rhat]/(8 pi mu |r_jk|) with r_jk from node k to
-    node j. Symmetric by construction. Raises HydroSolveError when two nodes
-    lie closer than the cutoff (the model needs every pair at least delta
-    apart; at rest neighbours sit one edge, 2 delta, apart).
+    node j. Exactly symmetric by construction. Each of the nine component
+    planes is written straight into an (n, 3, n, 3) view of the result, so
+    the matrix is the only (3n, 3n) array built. Raises HydroSolveError when
+    two nodes lie closer than the cutoff (the model needs every pair at least
+    delta apart; at rest neighbours sit one edge, 2 delta, apart).
     """
     n = positions.shape[0]
     d = positions[:, None, :] - positions[None, :, :]
@@ -74,13 +82,38 @@ def assemble_mobility(positions: np.ndarray, tangents: np.ndarray,
                 f"{cutoff:.3e} m"
             )
     rhat = d / r[:, :, None]
-    blocks = np.eye(3)[None, None, :, :] + rhat[:, :, :, None] * rhat[:, :, None, :]
-    blocks /= (8.0 * math.pi * viscosity * r)[:, :, None, None]
+    drag = 8.0 * math.pi * viscosity
+    oseen_scale = drag * r
+    matrix = np.empty((3 * n, 3 * n))
+    blocks = matrix.reshape(n, 3, n, 3)  # blocks[j, a, k, b] = matrix[3j + a, 3k + b]
+    for a in range(3):
+        for b in range(3):
+            plane = np.multiply(rhat[:, :, a], rhat[:, :, b], out=blocks[:, a, :, b])
+            if a == b:
+                plane += 1.0
+            plane /= oseen_scale
     diag = np.eye(3)[None, :, :] - tangents[:, :, None] * tangents[:, None, :]
-    diag /= 8.0 * math.pi * viscosity * cutoff
-    blocks[np.arange(n), np.arange(n)] = diag
-    matrix = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    diag /= drag * cutoff
+    nodes = np.arange(n)
+    blocks[nodes, :, nodes, :] = diag
     return MobilityOperator(matrix=matrix, cutoff=cutoff)
+
+
+def _head_distances(r_h: np.ndarray) -> np.ndarray:
+    """|r_h| per node; a node at the head center has no sphere flow."""
+    r = np.linalg.norm(r_h, axis=1)
+    if np.any(r <= 0.0):
+        raise ValueError("flagellar node coincides with the head center")
+    return r
+
+
+def _translating_sphere_flow(r_h: np.ndarray, r: np.ndarray, head_velocity: np.ndarray,
+                             b: float) -> np.ndarray:
+    """Flow at r_h (distances r) of a sphere of radius b translating at head_velocity."""
+    ru = r_h @ head_velocity
+    r1 = r[:, None]
+    return 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
+        + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
 
 
 def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
@@ -92,34 +125,33 @@ def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
     printed form with (b^3/r^3)(r x Omega): that form does not match the
     sphere's surface velocity U + Omega x r.
     """
-    r = np.linalg.norm(r_h, axis=1)
-    if np.any(r <= 0.0):
-        raise ValueError("flagellar node coincides with the head center")
+    r = _head_distances(r_h)
     b = head_radius
-    ru = r_h @ head_velocity
-    r1 = r[:, None]
     rot = (b ** 3 / r ** 3)[:, None] * cross_rows(head_spin, r_h)
-    trans = 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
-        + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
-    return rot + trans
+    return rot + _translating_sphere_flow(r_h, r, head_velocity, b)
 
 
-def head_force_torque(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
-                      viscosity: float, head_velocity: np.ndarray,
-                      head_spin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Force and torque on the head: filament-flow induction plus Stokes drag."""
-    r = np.linalg.norm(r_h, axis=1)
-    if np.any(r <= 0.0):
-        raise ValueError("flagellar node coincides with the head center")
+def head_force(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
+               viscosity: float, head_velocity: np.ndarray) -> np.ndarray:
+    """Force on the head: filament-flow induction plus Stokes drag."""
+    r = _head_distances(r_h)
     b = head_radius
     c1 = -1.5 * b / r + 0.5 * b ** 3 / r ** 3
     c2 = (-0.75 * b / r + 0.75 * b ** 3 / r ** 3) / r ** 2
     fr = np.sum(forces * r_h, axis=1)
     force = np.sum(c1[:, None] * forces + (c2 * fr)[:, None] * r_h, axis=0)
     force += -6.0 * math.pi * viscosity * b * head_velocity
+    return force
+
+
+def head_torque(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
+                viscosity: float, head_spin: np.ndarray) -> np.ndarray:
+    """Torque on the head: filament-flow induction plus rotational Stokes drag."""
+    r = _head_distances(r_h)
+    b = head_radius
     torque = -np.sum((b ** 3 / r ** 3)[:, None] * cross_rows(r_h, forces), axis=0)
     torque += -8.0 * math.pi * viscosity * b ** 3 * head_spin
-    return force, torque
+    return torque
 
 
 def head_spin_from_torque_balance(forces: np.ndarray, r_h: np.ndarray,
@@ -130,9 +162,7 @@ def head_spin_from_torque_balance(forces: np.ndarray, r_h: np.ndarray,
     head and the moment of the filament hydrodynamic forces about the head
     center: 8 pi mu b^3 Omega = sum (1 - b^3/r^3) r x f.
     """
-    r = np.linalg.norm(r_h, axis=1)
-    if np.any(r <= 0.0):
-        raise ValueError("flagellar node coincides with the head center")
+    r = _head_distances(r_h)
     b = head_radius
     weight = 1.0 - b ** 3 / r ** 3
     total = np.sum(weight[:, None] * cross_rows(r_h, forces), axis=0)
@@ -151,10 +181,20 @@ def clamped_spectrum(mobility: MobilityOperator, floor_fraction: float,
     smooth (physical) modes untouched and bounds the force response of the
     aliased ones at 1/floor_fraction times the local drag.
 
+    Consumes mobility.matrix: LAPACK dsyevd decomposes it in place, reading
+    its lower triangle (the matrix is exactly symmetric), and overwrites it
+    with the eigenvectors. The returned eigenvector matrix is its transpose,
+    an F-ordered view of the same buffer, so a refresh allocates no second
+    (3n, 3n) array. Raises HydroSolveError when dsyevd fails.
+
     Returns (eigenvectors, inverse clamped eigenvalues).
     """
     local = 1.0 / (8.0 * math.pi * viscosity * mobility.cutoff)
-    evals, vecs = np.linalg.eigh(mobility.matrix)
+    a = mobility.matrix.T  # F-contiguous, so dsyevd works on it without a copy
+    dsyevd = get_lapack_funcs(("syevd",), (a,))[0]
+    evals, vecs, info = dsyevd(a, lower=1, overwrite_a=1)
+    if info != 0:
+        raise HydroSolveError(f"mobility eigendecomposition failed (dsyevd info={info})")
     inv = 1.0 / np.maximum(evals, floor_fraction * local)
     return vecs, inv
 
@@ -170,28 +210,30 @@ def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
     dependence is linear, leaving a 3x3 system. Lagging the spin by one step
     instead is violently unstable (the algebraic loop gain exceeds one for
     this geometry). The mobility inverse is applied through spectrum, the
-    (eigenvectors, inverse clamped eigenvalues) pair from clamped_spectrum.
+    (eigenvectors, inverse clamped eigenvalues) pair from clamped_spectrum,
+    once, to the stacked (3n, 4) right-hand side [u_rel | rotational flow]:
+    the node flow of the translating head relative to the nodes, then the
+    flow of a unit head spin about each axis. A solve reads the
+    eigenvector matrix twice.
     """
-    r = np.linalg.norm(r_h, axis=1)
-    if np.any(r <= 0.0):
-        raise ValueError("flagellar node coincides with the head center")
+    r = _head_distances(r_h)
     b = head_radius
     n = r_h.shape[0]
-
+    ratio = b ** 3 / r ** 3
     vecs, inv = spectrum
 
-    u_trans = head_induced_flow(r_h, head_velocity, np.zeros(3), b)
-    u_rel = (u_trans - node_velocities).ravel()
-    f_base = (vecs @ (inv * (vecs.T @ u_rel))).reshape(n, 3)
-
-    # Stacked linear map Omega -> rotational flow at the nodes.
     cross_r = cross_rows(np.eye(3), r_h[:, None, :])  # row i is e_i x r: cross_r @ f = r x f
-    scale = (b ** 3 / r ** 3)[:, None, None]
-    flow = (-scale * cross_r).reshape(3 * n, 3)  # (b^3/r^3) Omega x r
-    f_rot = (vecs @ (inv[:, None] * (vecs.T @ flow))).reshape(n, 3, 3)
+    flows = np.empty((3 * n, 4))
+    flows[:, 0] = (_translating_sphere_flow(r_h, r, head_velocity, b) - node_velocities).ravel()
+    flows[:, 1:] = (-ratio[:, None, None] * cross_r).reshape(3 * n, 3)  # (b^3/r^3) Omega x r
+    coeffs = vecs.T @ flows
+    coeffs *= inv[:, None]
+    stacked = (vecs @ coeffs).reshape(n, 3, 4)
+    f_base = stacked[:, :, 0]
+    f_rot = stacked[:, :, 1:]
 
     # Torque-balance map f -> sum (1 - b^3/r^3) r x f.
-    weighted_cross = (1.0 - b ** 3 / r ** 3)[:, None, None] * cross_r
+    weighted_cross = (1.0 - ratio)[:, None, None] * cross_r
     drag = 8.0 * math.pi * viscosity * b ** 3
     coupling = np.einsum("nab,nbc->ac", weighted_cross, f_rot)
     rhs = np.einsum("nab,nb->a", weighted_cross, f_base)

@@ -172,13 +172,11 @@ def external_force(state: RodState, params: PhysicalParameters,
     node_vel = state.velocities[pos_idx]
     if spectrum is None:
         spectrum = mobility_spectrum(state, params)
-    f_flag, head_spin = hydro.solve_forces_and_head_spin(
+    f_flag, _ = hydro.solve_forces_and_head_spin(
         spectrum, node_vel[1:], r_h, node_vel[0],
         params.head_radius, params.viscosity,
     )
-    f_head, _ = hydro.head_force_torque(
-        f_flag, r_h, params.head_radius, params.viscosity, node_vel[0], head_spin,
-    )
+    f_head = hydro.head_force(f_flag, r_h, params.head_radius, params.viscosity, node_vel[0])
     f_ext = np.zeros(4 * n - 1)
     f_ext[pos_idx[1:]] = f_flag
     f_ext[0:3] = f_head
@@ -211,6 +209,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     n = params.node_count
     q_old = state.dof_vector()
     v_old = state.velocities
+    tangents = state.tangents  # of the start configuration: read once, not per force_eval
     mass = rest.mass
 
     f_ext = external_force(state, params, spectrum)
@@ -228,8 +227,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
-        ev = evaluate_elastics(pos, th, state.ref_d1, state.tangents,
-                               state.ref_twist, rest, stiff)
+        ev = evaluate_elastics(pos, th, state.ref_d1, tangents, state.ref_twist, rest, stiff)
         residual = inertia * (q - q_old - dt * v_old) - ev.force - f_ext
         return ev, residual, np.linalg.norm(residual[free])
 
@@ -346,7 +344,9 @@ class Integrator:
         fork = copy.copy(self)
         fork.state = self.state.copy()
         if self._spectrum is not None:
-            fork._spectrum = tuple(a.copy() for a in self._spectrum)
+            # order="K": the eigenvectors are F-ordered, and a C-ordered copy
+            # would round the drag solve's products differently.
+            fork._spectrum = tuple(a.copy(order="K") for a in self._spectrum)
         return fork
 
     def steps_per(self, interval: float) -> int:
@@ -414,6 +414,7 @@ class Integrator:
 
     def _full_step(self, omega: float) -> None:
         if self._spectrum is None or self._age % MOBILITY_REFRESH == 0:
+            self._spectrum = None  # release the old spectrum before building the new one
             self._spectrum = mobility_spectrum(self.state, self.params)
         self._age += 1
         self.state, _ = step(self.state, self.rest, self.stiff, self.params, omega,

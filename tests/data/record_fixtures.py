@@ -12,6 +12,9 @@ writes, next to this script:
 - pulse_tiny.npz: head and node-1 samples of the tiny rod (desk preset,
   N=16, dt=5 ms) on the 0.5 s grid for 3 s: 1 s at 3 rpm, a 1 s pulse at
   15 rpm, then 3 rpm again.
+- paper_cruise.npz: head and node-1 samples of the paper rod (paper
+  preset, N=122, dt=1 ms) at a constant 3 rpm on the 0.01 s grid for
+  0.05 s: 50 steps across 7 mobility-spectrum refreshes.
 - training.npz: inputs, targets, predictions on those inputs and epochs
   of trained regressors. "maps_*" are the four inverse maps that
   fit_inverse_maps(conftest.make_synthetic_dataset(), TrainControls(seed=13,
@@ -22,9 +25,11 @@ writes, next to this script:
 jacobian_n10.npz and pulse_tiny.npz were recorded at commit e5b6400, the
 last revision with the entry-by-entry bend/twist Hessian; training.npz at
 commit 35e3801, the last revision that solved each damped Gauss-Newton
-step with np.linalg.solve on the parameter-space matrix. Re-record only
-after a deliberate change to the physics or the trainer. Name fixtures to
-record only those:
+step with np.linalg.solve on the parameter-space matrix; paper_cruise.npz
+at commit a74f3fa, the last revision that decomposed the mobility with
+np.linalg.eigh and applied its spectrum to one right-hand side at a time.
+Re-record only after a deliberate change to the physics or the trainer.
+Name fixtures to record only those:
 
     PYTHONPATH=src python tests/data/record_fixtures.py training
 """
@@ -87,7 +92,13 @@ def record_pulse() -> dict[str, np.ndarray]:
     params = desk_parameters(node_count=16, time_step=0.005)
     profile = AngularVelocityProfile.pulse(3.0 * RPM, 15.0 * RPM, 1.0, 1.0)
     traj = simulate(params, profile, 3.0, 0.5)
-    return {"times": traj.times, "head": traj.head, "node1": traj.node1}
+    return {"head": traj.head, "node1": traj.node1}
+
+
+def record_paper() -> dict[str, np.ndarray]:
+    params = paper_parameters()
+    traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 0.05, 0.01)
+    return {"head": traj.head, "node1": traj.node1}
 
 
 def record_training() -> dict[str, np.ndarray]:
@@ -118,7 +129,7 @@ def record_training() -> dict[str, np.ndarray]:
 
 
 RECORDERS = {"jacobian_n10": record_jacobians, "pulse_tiny": record_pulse,
-             "training": record_training}
+             "paper_cruise": record_paper, "training": record_training}
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or RECORDERS:

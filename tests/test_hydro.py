@@ -8,9 +8,10 @@ from flagsim.hydro import (
     HydroSolveError,
     assemble_mobility,
     clamped_spectrum,
-    head_force_torque,
+    head_force,
     head_induced_flow,
     head_spin_from_torque_balance,
+    head_torque,
     node_tangents,
     solve_forces_and_head_spin,
 )
@@ -30,6 +31,17 @@ def production_solve(params, pos, tang, r_h, v_nodes, viscosity=None):
     mob = assemble_mobility(pos, tang, mu, params.cutoff)
     return solve_forces_and_head_spin(clamped_spectrum(mob, 0.25, mu), v_nodes, r_h,
                                       np.zeros(3), params.head_radius, mu)
+
+
+@pytest.fixture(scope="module")
+def rest_spectrum(flagellum):
+    """(mobility matrix, eigenvectors, inverse clamped eigenvalues, floor) at rest."""
+    params, pos, tang = flagellum
+    mob = assemble_mobility(pos, tang, params.viscosity, params.cutoff)
+    matrix = mob.matrix.copy()  # clamped_spectrum consumes mob.matrix
+    vecs, inv = clamped_spectrum(mob, 0.25, params.viscosity)
+    floor = 0.25 / (8 * math.pi * params.viscosity * params.cutoff)
+    return matrix, vecs, inv, floor
 
 
 def head_offsets(params, pos):
@@ -182,7 +194,8 @@ def test_head_force_pure_drag():
     r_h = np.array([[0.05, 0.0, 0.0]])
     f = np.zeros((1, 3))
     vel = np.array([1.0, 0.0, 0.0])
-    force, torque = head_force_torque(f, r_h, b, mu, vel, np.zeros(3))
+    force = head_force(f, r_h, b, mu, vel)
+    torque = head_torque(f, r_h, b, mu, np.zeros(3))
     assert np.allclose(force, [-6 * math.pi * mu * b, 0, 0], rtol=1e-14)
     assert np.allclose(torque, 0.0)
 
@@ -193,15 +206,15 @@ def test_head_torque_single_node():
     b, mu, d, fmag = 0.01, 2.7, 0.04, 2e-3
     r_h = np.array([[d, 0.0, 0.0]])
     f = np.array([[0.0, fmag, 0.0]])
-    _, torque = head_force_torque(f, r_h, b, mu, np.zeros(3), np.zeros(3))
+    torque = head_torque(f, r_h, b, mu, np.zeros(3))
     assert np.allclose(torque, [0.0, 0.0, -b ** 3 * fmag / d ** 2], rtol=1e-13)
 
 
 def test_head_zero_everything():
     b, mu = 0.01, 2.7
     r_h = np.array([[0.05, 0.0, 0.0]])
-    force, torque = head_force_torque(np.zeros((1, 3)), r_h, b, mu,
-                                      np.zeros(3), np.zeros(3))
+    force = head_force(np.zeros((1, 3)), r_h, b, mu, np.zeros(3))
+    torque = head_torque(np.zeros((1, 3)), r_h, b, mu, np.zeros(3))
     assert np.allclose(force, 0.0) and np.allclose(torque, 0.0)
 
 
@@ -225,7 +238,7 @@ def test_torque_balance_closes_total_torque(flagellum):
     rng = np.random.default_rng(6)
     f = rng.standard_normal(pos.shape) * 1e-4
     spin = head_spin_from_torque_balance(f, r_h, b, mu)
-    _, t_h = head_force_torque(f, r_h, b, mu, np.zeros(3), spin)
+    t_h = head_torque(f, r_h, b, mu, spin)
     total = t_h + np.cross(r_h, f).sum(axis=0)
     assert np.linalg.norm(total) <= 1e-10 * np.linalg.norm(np.cross(r_h, f)).max() * len(f)
 
@@ -269,3 +282,51 @@ def test_self_consistent_solver_matches_lagged_fixed_point(flagellum):
     f, spin = production_solve(params, pos, tang, r_h, v_nodes)
     balance = head_spin_from_torque_balance(f, r_h, params.head_radius, params.viscosity)
     assert np.allclose(spin, balance, rtol=1e-10, atol=1e-18)
+
+
+def test_clamped_spectrum_is_orthonormal(rest_spectrum):
+    _, vecs, _, _ = rest_spectrum
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(vecs.shape[0])) <= 1e-12
+
+
+def test_clamped_spectrum_clamps_87_modes_at_rest(rest_spectrum):
+    _, _, inv, floor = rest_spectrum
+    assert inv.shape == (363,)
+    assert np.count_nonzero(inv == 1.0 / floor) == 87
+
+
+def test_unclamped_modes_are_eigenpairs(rest_spectrum):
+    matrix, vecs, inv, floor = rest_spectrum
+    kept = inv != 1.0 / floor
+    v = vecs[:, kept]
+    residual = np.linalg.norm(matrix @ v - v / inv[kept], axis=0)
+    assert residual.max() <= 1e-12 * np.linalg.norm(matrix, 2)
+
+
+def test_stacked_solve_matches_columnwise(flagellum, rest_spectrum):
+    # the same spectrum applied to one right-hand side at a time, with the
+    # spin closed through head_spin_from_torque_balance
+    params, pos, _ = flagellum
+    _, vecs, inv, _ = rest_spectrum
+    b, mu = params.head_radius, params.viscosity
+    n = pos.shape[0]
+    r_h = head_offsets(params, pos)
+    rng = np.random.default_rng(10)
+    v_nodes = rng.standard_normal(pos.shape) * 1e-4
+    v_head = rng.standard_normal(3) * 1e-4
+
+    def apply(flow):
+        return (vecs @ (inv * (vecs.T @ flow.ravel()))).reshape(n, 3)
+
+    f_base = apply(head_induced_flow(r_h, v_head, np.zeros(3), b) - v_nodes)
+    f_rot = np.stack([apply(head_induced_flow(r_h, np.zeros(3), e, b)) for e in np.eye(3)],
+                     axis=2)
+    gain = np.stack([head_spin_from_torque_balance(f_rot[:, :, i], r_h, b, mu)
+                     for i in range(3)], axis=1)
+    spin_ref = np.linalg.solve(np.eye(3) - gain,
+                               head_spin_from_torque_balance(f_base, r_h, b, mu))
+    forces_ref = f_base + f_rot @ spin_ref
+
+    forces, spin = solve_forces_and_head_spin((vecs, inv), v_nodes, r_h, v_head, b, mu)
+    assert np.linalg.norm(forces - forces_ref) <= 1e-13 * np.linalg.norm(forces_ref)
+    assert np.linalg.norm(spin - spin_ref) <= 1e-13 * np.linalg.norm(spin_ref)

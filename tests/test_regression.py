@@ -1,14 +1,14 @@
-"""The elastic kernel, a short trajectory and trained regressors against
+"""The elastic kernel, two short trajectories and trained regressors against
 recorded references.
 
 tests/data/record_fixtures.py says how the references were made. The
 kernel arrays match to 1e-12 relative (reordered floating-point sums move
-them by about 1e-16); the trajectory, which compounds rounding over 600
-Newton steps, matches to 1e-9 of the head's travel. The regressors were
-recorded with a parameter-space solve of each damped Gauss-Newton step;
-the Gram-matrix solve that replaced it reorders the sums, so predictions
-on the training inputs match to 1e-8 of each target's spread, after equal
-epochs.
+them by about 1e-16); the trajectories, which compound rounding over 600
+(tiny rod) and 50 (paper rod) Newton steps, match to 1e-9 of the head's
+travel. The regressors were recorded with a parameter-space solve of each
+damped Gauss-Newton step; the Gram-matrix solve that replaced it reorders
+the sums, so predictions on the training inputs match to 1e-8 of each
+target's spread, after equal epochs.
 """
 
 import math
@@ -62,8 +62,18 @@ def test_pulse_trajectory_matches_recorded():
     traj = simulate(params, profile, 3.0, 0.5)
     travel = np.max(np.linalg.norm(ref["head"] - ref["head"][0], axis=1))
     assert travel > 1e-3  # the robot moves a millimetre or more
-    # sample times are steps * dt; the fixture holds the running sum of dt
     np.testing.assert_array_equal(traj.times, 0.5 * np.arange(7))
+    assert np.max(np.abs(traj.head - ref["head"])) <= 1e-9 * travel
+    assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-9 * travel
+
+
+def test_paper_cruise_matches_recorded(paper_params):
+    # paper rod at 3 rpm for 50 steps: the dense mobility, refreshed 7 times
+    ref = np.load(DATA / "paper_cruise.npz")
+    traj = simulate(paper_params, AngularVelocityProfile.constant(3.0 * RPM), 0.05, 0.01)
+    travel = np.max(np.linalg.norm(ref["head"] - ref["head"][0], axis=1))
+    assert travel > 1e-8  # the head moves in 50 steps
+    np.testing.assert_array_equal(traj.times, 0.01 * np.arange(6))
     assert np.max(np.abs(traj.head - ref["head"])) <= 1e-9 * travel
     assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-9 * travel
 
