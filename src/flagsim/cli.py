@@ -3,7 +3,8 @@
 File formats: JSON for configs/models/logs, CSV for numeric series. Writes
 are atomic (temp file then rename). A numerical failure (SimulationError)
 prints "numerical failure: ..." to stderr, exits 2 and writes no output
-file. Exit codes: 0 success, 1 input error, 2 numerical failure.
+file. Exit codes: 0 success, 1 input error (a usage error included), 2
+numerical failure.
 """
 
 from __future__ import annotations
@@ -18,21 +19,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import learning
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .control import (
     ControlConfig,
     InverseMaps,
     run_closed_loop,
     write_control_log,
 )
-from .geometry import polyline_distance
+from .geometry import SteeringDatapoint, polyline_distance
 from .learning import (
     DatasetSpec,
     MLPModel,
     TrainControls,
     fit_inverse_maps,
-    fit_joint_inverse_map,
     generate_dataset,
 )
 from .stepper import AngularVelocityProfile, SimulationError, simulate
@@ -62,12 +61,33 @@ def trajectory_csv(traj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_trajectory_csv(path):
+def _read_csv(path, header: str, kind: str) -> np.ndarray:
+    """The rows of a numeric CSV under a fixed header; a bad row is an input error."""
+    width = header.count(",") + 1
+    rows = []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRAJECTORY_HEADER:
-            raise ConfigError(f"unexpected trajectory header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        found = fh.readline().strip()
+        if found != header:
+            raise ConfigError(f"unexpected {kind} header {found!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ConfigError(f"malformed {kind} row at line {lineno}: "
+                                  f"{len(parts)} fields, expected {width}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ConfigError(f"malformed {kind} row at line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
+def read_trajectory_csv(path):
+    data = _read_csv(path, TRAJECTORY_HEADER, "trajectory")
+    if data.shape[0] == 0:
+        raise ConfigError(f"trajectory {path} has no rows")
     return data
 
 
@@ -80,26 +100,7 @@ def dataset_csv(datapoints) -> str:
 
 
 def read_dataset_csv(path):
-    from .geometry import SteeringDatapoint
-
-    points = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != DATASET_HEADER:
-            raise ConfigError(f"unexpected dataset header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ConfigError(f"malformed dataset row at line {lineno}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ConfigError(f"malformed dataset row at line {lineno}: {exc}") from exc
-            points.append(SteeringDatapoint(*vals))
-    return points
+    return [SteeringDatapoint(*row) for row in _read_csv(path, DATASET_HEADER, "dataset").tolist()]
 
 
 def _load_profile(path, fallback_rpm: float) -> AngularVelocityProfile:
@@ -195,23 +196,18 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """Fit every map, the joint one first, before writing any file: a failed fit writes none."""
+    """Fit every map before writing any file: a failed fit writes none."""
     points = read_dataset_csv(args.dataset)
-    controls = TrainControls(seed=args.seed if args.seed is not None else 0)
+    controls = TrainControls(seed=args.seed)
     meta_path = os.path.splitext(args.dataset)[0] + "_meta.json"
     calibration = {}
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             meta = json.load(fh)
         calibration["cruise_speed_m_s"] = meta.get("cruise_speed_m_s")
-    cruise = calibration.get("cruise_speed_m_s")
-    if args.joint and cruise is None:
-        raise ConfigError(f"joint training needs the cruise speed from {meta_path}")
     try:
-        joint = (fit_joint_inverse_map(points, cruise, controls, scaled=True)
-                 if args.joint else None)
         maps = fit_inverse_maps(points, controls)
-    except ValueError as exc:  # an empty, too small, non-finite or unsteered dataset
+    except ValueError as exc:  # an empty, too small or non-finite dataset
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     report = {}
@@ -222,13 +218,6 @@ def cmd_train(args) -> int:
                                        indent=1, sort_keys=True) + "\n")
         report[name] = {"train_rmse": result.train_rmse,
                         "val_rmse": result.val_rmse, "epochs": result.epochs}
-    if joint is not None:
-        _atomic_write(os.path.join(args.out, "f_HL_joint.json"),
-                      json.dumps(joint.model.to_json_dict(), indent=1,
-                                 sort_keys=True) + "\n")
-        report["f_HL_joint"] = {"train_rmse": joint.train_rmse,
-                                "val_rmse": joint.val_rmse,
-                                "loss_shares": joint.loss_shares.tolist()}
     _atomic_write(os.path.join(args.out, "calibration.json"),
                   json.dumps(calibration, indent=1, sort_keys=True) + "\n")
     _atomic_write(os.path.join(args.out, "training_report.json"),
@@ -243,7 +232,10 @@ def _load_maps(models_dir: str) -> tuple[InverseMaps, dict]:
         path = os.path.join(models_dir, f"{name}.json")
         if not os.path.exists(path):
             raise ConfigError(f"missing model file: {path}")
-        models[name] = MLPModel.load(path)
+        try:
+            models[name] = MLPModel.load(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model file {path}: {type(exc).__name__}: {exc}") from exc
     calib = {}
     calib_path = os.path.join(models_dir, "calibration.json")
     if os.path.exists(calib_path):
@@ -322,8 +314,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flagsim",
         description="Simulation and control of a uniflagellar swimming robot",
     )
@@ -352,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--joint", action="store_true",
-                   help="also train the joint two-output map")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("control", help="run the closed-loop waypoint follower")
@@ -374,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -341,16 +341,14 @@ def _rank_one_terms(terms):
 
 
 def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-                      rest: RestConfiguration, stiff: ElasticStiffnesses,
-                      with_jacobian: bool = False):
+                      rest: RestConfiguration, stiff: ElasticStiffnesses) -> ElasticEval:
     """Elastic force and energy at a candidate configuration.
 
     Frames are transported from the committed previous configuration, so the
     result is a pure function of (positions, thetas) given that anchor. The
     per-edge stretch and per-node bend/twist gradients are summed onto the
-    (4N-1,) DOF vector with one bincount, stretch entries first. Returns
-    ElasticEval, or (ElasticEval, jacobian) when with_jacobian, the Jacobian
-    in the band storage of jacobian_from_eval, which can also be called later.
+    (4N-1,) DOF vector with one bincount, stretch entries first. The
+    result carries what jacobian_from_eval needs to assemble the Jacobian.
     """
     n = positions.shape[0]
     lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
@@ -367,7 +365,7 @@ def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
     energy += 0.5 * stiff.stretching * (strain * strain * rest.edge_lengths).sum()
 
     terms.update(idx=idx, n=n)
-    result = ElasticEval(
+    return ElasticEval(
         force=-grad,
         energy=energy,
         tangents=tangents,
@@ -377,16 +375,6 @@ def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
         edge_lengths=lengths,
         _cache=terms,
     )
-    if not with_jacobian:
-        return result
-    return result, jacobian_from_eval(result, rest, stiff)
-
-
-def elastic_energy(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-                   rest: RestConfiguration, stiff: ElasticStiffnesses) -> float:
-    """Total elastic energy of a candidate configuration."""
-    return evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
-                             rest, stiff).energy
 
 
 def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
@@ -448,36 +436,3 @@ def _dof_indices(n: int) -> dict[str, np.ndarray]:
     }
     _INDEX_CACHE[n] = cached
     return cached
-
-
-def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of every entry with |i - j| <= BANDWIDTH."""
-    return np.nonzero(np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= BANDWIDTH)
-
-
-def dense_from_band(ab: np.ndarray) -> np.ndarray:
-    """Expand band storage back to the square matrix it holds."""
-    d = ab.shape[1]
-    i, j = _band_pairs(d)
-    a = np.zeros((d, d))
-    a[i, j] = ab[DIAG_ROW + i - j, j]
-    return a
-
-
-def internal_force(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses) -> np.ndarray:
-    """Elastic force vector at a committed state (frames taken as stored)."""
-    out = evaluate_elastics(
-        state.positions, state.thetas, state.ref_d1, state.tangents, state.ref_twist,
-        rest, stiff,
-    )
-    return out.force
-
-
-def internal_force_jacobian(state: RodState, rest: RestConfiguration,
-                            stiff: ElasticStiffnesses) -> np.ndarray:
-    """Dense d(force)/d(q) at a committed state; symmetric (negated energy Hessian)."""
-    _, jac = evaluate_elastics(
-        state.positions, state.thetas, state.ref_d1, state.tangents, state.ref_twist,
-        rest, stiff, with_jacobian=True,
-    )
-    return dense_from_band(jac)

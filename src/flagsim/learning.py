@@ -114,7 +114,6 @@ class TrainResult:
     epochs: int
     alpha: float
     beta: float
-    loss_shares: np.ndarray  # per-output share of the final squared error
 
 
 def _init_parameters(layer_sizes, rng):
@@ -179,8 +178,7 @@ def _jacobian(x, weights, biases):
 
 
 def train_regressor(inputs: np.ndarray, targets: np.ndarray,
-                    controls: TrainControls | None = None,
-                    normalize_outputs: bool = True) -> TrainResult:
+                    controls: TrainControls | None = None) -> TrainResult:
     """Fit one network by regularized second-order least squares.
 
     Minimizes beta * sum(errors^2)/2 + alpha * sum(weights^2)/2 with damped
@@ -210,13 +208,9 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
     in_shift = inputs.mean(axis=0)
     in_scale = inputs.std(axis=0)
     in_scale[in_scale <= 0.0] = 1.0
-    if normalize_outputs:
-        out_shift = targets.mean(axis=0)
-        out_scale = targets.std(axis=0)
-        out_scale[out_scale <= 0.0] = 1.0
-    else:
-        out_shift = np.zeros(targets.shape[1])
-        out_scale = np.ones(targets.shape[1])
+    out_shift = targets.mean(axis=0)
+    out_scale = targets.std(axis=0)
+    out_scale[out_scale <= 0.0] = 1.0
     x_all = (inputs - in_shift) / in_scale
     y_all = (targets - out_shift) / out_scale
 
@@ -311,9 +305,8 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
                 break
 
     weights, biases = _unflatten(best_theta, layer_sizes)
-    e_tr = (_forward(x_tr, weights, biases)[-1] - y_tr)
+    e_tr = _forward(x_tr, weights, biases)[-1] - y_tr
     train_rmse = float(np.sqrt(np.mean(e_tr.ravel() ** 2)))
-    shares = (np.sum(e_tr ** 2, axis=0) / max(float(np.sum(e_tr ** 2)), 1e-300))
     model = MLPModel(
         layer_sizes=layer_sizes,
         weights=[w.copy() for w in weights],
@@ -332,8 +325,7 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
         },
     )
     return TrainResult(model=model, train_rmse=train_rmse, val_rmse=best_val,
-                       epochs=epochs_run, alpha=float(alpha), beta=float(beta),
-                       loss_shares=shares)
+                       epochs=epochs_run, alpha=float(alpha), beta=float(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -582,53 +574,3 @@ def steering_slope(datapoints) -> tuple[float, float]:
     var = float(resid @ resid) / max(n - 2, 1)
     stderr = math.sqrt(n * var / den)
     return float(c), float(stderr)
-
-
-def fit_joint_inverse_map(datapoints, cruise_speed: float,
-                          controls: TrainControls | None = None,
-                          scaled: bool = True) -> TrainResult:
-    """Single two-output network (h, alpha) -> (t_high, t_low).
-
-    With scaled=True the targets are rescaled to (h c t_high, v t_low) so the
-    end-point error is balanced between the outputs; the scaling is inverted
-    at query time through the metadata. Unscaled training exposes the raw
-    imbalance (loss share dominated by t_low).
-    """
-    if not datapoints:
-        raise ValueError("dataset is empty")
-    controls = controls or TrainControls()
-    c, stderr = steering_slope(datapoints)
-    if abs(c) <= 2.0 * stderr:
-        raise ValueError(
-            f"turn-angle slope {c:.3g} +- {stderr:.3g} deg/s is not significantly "
-            "nonzero; the dataset holds too little steering variation"
-        )
-    cols = dataset_arrays(datapoints)
-    inputs = np.stack([cols["h"], cols["alpha"]], axis=1)
-    c_rad = math.radians(c)
-    if scaled:
-        # both targets in meters: endpoint displacement per unit time error
-        targets = np.stack([cols["h"] * c_rad * cols["t_high"],
-                            cruise_speed * cols["t_low"]], axis=1)
-    else:
-        targets = np.stack([cols["t_high"], cols["t_low"]], axis=1)
-    # outputs stay in physical units so the loss balance reflects the scaling
-    result = train_regressor(inputs, targets, controls, normalize_outputs=False)
-    result.model.metadata.update({
-        "joint": True,
-        "scaled": bool(scaled),
-        "slope_c_deg_per_s": c,
-        "cruise_speed": cruise_speed,
-    })
-    return result
-
-
-def predict_joint_times(result: TrainResult, h: float, alpha: float) -> tuple[float, float]:
-    """Invert the joint model's target scaling at query time."""
-    meta = result.model.metadata
-    pred = result.model.predict(np.array([[h, alpha]]))[0]
-    if meta.get("scaled"):
-        c_rad = math.radians(meta["slope_c_deg_per_s"])
-        v = meta["cruise_speed"]
-        return float(pred[0] / (h * c_rad)), float(pred[1] / v)
-    return float(pred[0]), float(pred[1])

@@ -8,8 +8,9 @@ from flagsim import (
     desk_parameters,
     paper_parameters,
 )
-from flagsim.elastic import evaluate_elastics
+from flagsim.elastic import BANDWIDTH, DIAG_ROW, evaluate_elastics, jacobian_from_eval
 from flagsim.geometry import SteeringDatapoint
+from flagsim.rod import unpack_dofs
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +53,32 @@ def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale
     out.ref_d2 = ev.d2
     out.ref_twist = ev.ref_twist
     return out
+
+
+def elastics_at(state, rest, stiff, q=None):
+    """evaluate_elastics from a committed state's frames, at its own DOFs or at q."""
+    positions, thetas = (state.positions, state.thetas) if q is None else unpack_dofs(q)
+    return evaluate_elastics(positions, thetas, state.ref_d1, state.tangents,
+                             state.ref_twist, rest, stiff)
+
+
+def dense_jacobian(state, rest, stiff):
+    """The elastic force Jacobian at a committed state as a square matrix."""
+    return dense_from_band(jacobian_from_eval(elastics_at(state, rest, stiff), rest, stiff))
+
+
+def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every entry with |i - j| <= BANDWIDTH."""
+    return np.nonzero(np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= BANDWIDTH)
+
+
+def dense_from_band(ab: np.ndarray) -> np.ndarray:
+    """Expand band storage back to the square matrix it holds."""
+    d = ab.shape[1]
+    i, j = _band_pairs(d)
+    a = np.zeros((d, d))
+    a[i, j] = ab[DIAG_ROW + i - j, j]
+    return a
 
 
 def flaky_step(real_step, error, every_call=False):

@@ -53,7 +53,7 @@ from flagsim import (  # noqa: E402
     desk_parameters,
     paper_parameters,
 )
-from flagsim.elastic import evaluate_elastics  # noqa: E402
+from flagsim.elastic import evaluate_elastics, jacobian_from_eval  # noqa: E402
 from flagsim.learning import (  # noqa: E402
     TrainControls,
     dataset_arrays,
@@ -79,8 +79,9 @@ def record_jacobians() -> dict[str, np.ndarray]:
         "positions": state.positions,
     }
     for name, thetas in (("committed", state.thetas), ("twisted", twisted)):
-        ev, jac = evaluate_elastics(state.positions, thetas, state.ref_d1, state.tangents,
-                                    state.ref_twist, rest, stiff, with_jacobian=True)
+        ev = evaluate_elastics(state.positions, thetas, state.ref_d1, state.tangents,
+                               state.ref_twist, rest, stiff)
+        jac = jacobian_from_eval(ev, rest, stiff)
         out[f"{name}_thetas"] = thetas
         out[f"{name}_force"] = ev.force
         out[f"{name}_energy"] = np.array(ev.energy)

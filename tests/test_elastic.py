@@ -6,15 +6,9 @@ from flagsim.elastic import (
     DegenerateEdgeError,
     ElasticStiffnesses,
     RestConfiguration,
-    elastic_energy,
-    evaluate_elastics,
-    internal_force,
-    internal_force_jacobian,
-    jacobian_from_eval,
 )
-from flagsim.rod import pack_dofs, unpack_dofs
 
-from conftest import committed_perturbation
+from conftest import committed_perturbation, dense_jacobian, elastics_at
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +34,8 @@ def fd_energy_gradient(state, rest, stiff, step):
         qm = q0.copy()
         qp[i] += step
         qm[i] -= step
-        pos_p, th_p = unpack_dofs(qp)
-        pos_m, th_m = unpack_dofs(qm)
-        ep = elastic_energy(pos_p, th_p, state.ref_d1, state.tangents,
-                            state.ref_twist, rest, stiff)
-        em = elastic_energy(pos_m, th_m, state.ref_d1, state.tangents,
-                            state.ref_twist, rest, stiff)
+        ep = elastics_at(state, rest, stiff, qp).energy
+        em = elastics_at(state, rest, stiff, qm).energy
         grad[i] = (ep - em) / (2.0 * step)
     return grad
 
@@ -61,14 +51,8 @@ def fd_energy_hessian(state, rest, stiff, step):
             qm = q.copy()
             qp[j] += step
             qm[j] -= step
-            pos_p, th_p = unpack_dofs(qp)
-            pos_m, th_m = unpack_dofs(qm)
-            g[j] = (
-                elastic_energy(pos_p, th_p, state.ref_d1, state.tangents,
-                               state.ref_twist, rest, stiff)
-                - elastic_energy(pos_m, th_m, state.ref_d1, state.tangents,
-                                 state.ref_twist, rest, stiff)
-            ) / (2.0 * step)
+            g[j] = (elastics_at(state, rest, stiff, qp).energy
+                    - elastics_at(state, rest, stiff, qm).energy) / (2.0 * step)
         return g
 
     hess = np.empty((n, n))
@@ -93,7 +77,7 @@ def test_stiffness_formulas(paper_params):
 
 def test_stress_free_force(paper_built):
     state, rest, stiff = paper_built
-    f = internal_force(state, rest, stiff)
+    f = elastics_at(state, rest, stiff).force
     assert np.linalg.norm(f) < 1e-10 * stiff.stretching
 
 
@@ -114,7 +98,7 @@ def test_uniform_stretch_end_force():
 
     stretched = state.copy()
     stretched.positions = state.positions * 1.01
-    f = internal_force(stretched, rest, stiff)
+    f = elastics_at(stretched, rest, stiff).force
     end_force = f[4 * (n - 1): 4 * (n - 1) + 3]
     expected = stiff.stretching * 0.01
     assert abs(-end_force[0] - expected) <= 1e-6 * expected
@@ -124,16 +108,16 @@ def test_uniform_stretch_end_force():
 def test_translation_invariance(perturbed, small_built):
     _, _, rest, stiff = small_built
     state = perturbed
-    f0 = internal_force(state, rest, stiff)
+    f0 = elastics_at(state, rest, stiff).force
     shifted = state.copy()
     shifted.positions = state.positions + np.array([0.3, -0.1, 0.25])
-    f1 = internal_force(shifted, rest, stiff)
+    f1 = elastics_at(shifted, rest, stiff).force
     assert np.allclose(f0, f1, atol=1e-10 * max(np.abs(f0).max(), 1.0))
 
 
 def test_nodal_force_sum_vanishes(perturbed, small_built):
     _, _, rest, stiff = small_built
-    f = internal_force(perturbed, rest, stiff)
+    f = elastics_at(perturbed, rest, stiff).force
     n = perturbed.node_count
     nodal = f[(4 * np.arange(n))[:, None] + np.arange(3)]
     total = nodal.sum(axis=0)
@@ -144,7 +128,7 @@ def test_torque_balance_with_twist_moments(perturbed, small_built):
     # rotation invariance: sum of x_i x F_i plus twist moments about tangents
     _, _, rest, stiff = small_built
     state = perturbed
-    f = internal_force(state, rest, stiff)
+    f = elastics_at(state, rest, stiff).force
     n = state.node_count
     nodal = f[(4 * np.arange(n))[:, None] + np.arange(3)]
     moments = f[4 * np.arange(n - 1) + 3]
@@ -156,7 +140,7 @@ def test_torque_balance_with_twist_moments(perturbed, small_built):
 
 def test_force_matches_fd_gradient(perturbed, small_built):
     params, _, rest, stiff = small_built
-    f = internal_force(perturbed, rest, stiff)
+    f = elastics_at(perturbed, rest, stiff).force
     g = fd_energy_gradient(perturbed, rest, stiff, 1e-7 * params.axial_length)
     assert np.linalg.norm(f + g) <= 1e-4 * np.linalg.norm(g)
 
@@ -164,26 +148,21 @@ def test_force_matches_fd_gradient(perturbed, small_built):
 def test_energy_descends_along_force(perturbed, small_built):
     params, _, rest, stiff = small_built
     state = perturbed
-    f = internal_force(state, rest, stiff)
-    e0 = elastic_energy(state.positions, state.thetas, state.ref_d1,
-                        state.tangents, state.ref_twist, rest, stiff)
-    q1 = state.dof_vector() + 1e-9 * f / np.linalg.norm(f)
-    pos1, th1 = unpack_dofs(q1)
-    e1 = elastic_energy(pos1, th1, state.ref_d1, state.tangents,
-                        state.ref_twist, rest, stiff)
-    assert e1 < e0
+    ev = elastics_at(state, rest, stiff)
+    q1 = state.dof_vector() + 1e-9 * ev.force / np.linalg.norm(ev.force)
+    assert elastics_at(state, rest, stiff, q1).energy < ev.energy
 
 
 def test_jacobian_symmetry(perturbed, small_built):
     _, _, rest, stiff = small_built
-    jac = internal_force_jacobian(perturbed, rest, stiff)
+    jac = dense_jacobian(perturbed, rest, stiff)
     assert np.linalg.norm(jac - jac.T) <= 1e-8 * np.linalg.norm(jac)
 
 
 def test_jacobian_matches_fd_hessian(perturbed, small_built):
     # oracle: second central differences of the elastic energy
     _, _, rest, stiff = small_built
-    jac = internal_force_jacobian(perturbed, rest, stiff)
+    jac = dense_jacobian(perturbed, rest, stiff)
     hess = fd_energy_hessian(perturbed, rest, stiff, 2e-6)
     assert np.linalg.norm(jac + hess) <= 1e-4 * np.linalg.norm(hess)
 
@@ -191,7 +170,7 @@ def test_jacobian_matches_fd_hessian(perturbed, small_built):
 def test_jacobian_banded_structure(perturbed, small_built):
     # couplings vanish beyond the 11-DOF stencil width
     _, _, rest, stiff = small_built
-    jac = internal_force_jacobian(perturbed, rest, stiff)
+    jac = dense_jacobian(perturbed, rest, stiff)
     n_dof = jac.shape[0]
     for i in range(n_dof):
         for j in range(n_dof):
@@ -204,4 +183,4 @@ def test_degenerate_edge_rejected(perturbed, small_built):
     state = perturbed.copy()
     state.positions[4] = state.positions[5]
     with pytest.raises(DegenerateEdgeError):
-        internal_force(state, rest, stiff)
+        elastics_at(state, rest, stiff)

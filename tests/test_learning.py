@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_synthetic_dataset
-from flagsim.geometry import SteeringDatapoint
 from flagsim.learning import (
     MLPModel,
     TrainControls,
     dataset_arrays,
     fit_inverse_maps,
-    fit_joint_inverse_map,
-    predict_joint_times,
     steering_slope,
     train_regressor,
 )
@@ -179,52 +176,6 @@ def test_steering_slope_matches_oracle():
     (c_oracle, _), *_ = np.linalg.lstsq(design, cols["alpha"], rcond=None)
     assert c == pytest.approx(c_oracle, abs=1e-9)
     assert stderr >= 0.0
-
-
-def test_joint_unscaled_loss_imbalance():
-    data = make_synthetic_dataset()
-    unscaled = fit_joint_inverse_map(data, cruise_speed=2e-4,
-                                     controls=TrainControls(seed=15, max_epochs=150),
-                                     scaled=False)
-    shares = unscaled.loss_shares
-    assert shares[1] / max(shares[0], 1e-12) > 10.0
-
-
-def test_joint_scaled_balances_and_competes():
-    data = make_synthetic_dataset()
-    scaled = fit_joint_inverse_map(data, cruise_speed=2e-4,
-                                   controls=TrainControls(seed=16, max_epochs=250),
-                                   scaled=True)
-    # balanced: neither output eats more than ~95% of the loss
-    assert scaled.loss_shares.max() < 0.95
-
-    separate = fit_inverse_maps(data, TrainControls(seed=17, max_epochs=250))
-    cols = dataset_arrays(data)
-    x = np.stack([cols["h"], cols["alpha"]], axis=1)
-    sep_t_high = separate.f_high.model.predict(x)[:, 0]
-    sep_t_low = separate.f_low.model.predict(x)[:, 0]
-    joint = np.array([predict_joint_times(scaled, hh, aa) for hh, aa in x])
-
-    def endpoint_rmse(t_high_hat, t_low_hat):
-        c, _ = steering_slope(data)
-        c_rad = np.radians(c)
-        err_h = 2e-4 * (t_low_hat - cols["t_low"])
-        err_a = cols["h"] * c_rad * (t_high_hat - cols["t_high"])
-        return float(np.sqrt(np.mean(err_h ** 2 + err_a ** 2)))
-
-    e_sep = endpoint_rmse(sep_t_high, sep_t_low)
-    e_joint = endpoint_rmse(joint[:, 0], joint[:, 1])
-    assert e_joint <= 2.0 * e_sep
-
-
-def test_joint_rejects_flat_dataset():
-    data = make_synthetic_dataset()
-    flat = [SteeringDatapoint(t_high=d.t_high, t_low=d.t_low, h=d.h,
-                              alpha=30.0 + 0.001 * np.random.default_rng(0).normal(),
-                              beta=d.beta, l=d.l) for d in data]
-    with pytest.raises(ValueError):
-        fit_joint_inverse_map(flat, cruise_speed=2e-4,
-                              controls=TrainControls(seed=18, max_epochs=20))
 
 
 def test_train_rejects_small_or_bad_input():

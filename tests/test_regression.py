@@ -25,7 +25,7 @@ from flagsim import (
     desk_parameters,
     paper_parameters,
 )
-from flagsim.elastic import evaluate_elastics
+from flagsim.elastic import evaluate_elastics, jacobian_from_eval
 from flagsim.learning import TrainControls, fit_inverse_maps, train_regressor
 from flagsim.stepper import AngularVelocityProfile, simulate
 
@@ -46,9 +46,9 @@ def test_elastic_kernel_matches_recorded(case):
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
     stiff = ElasticStiffnesses.from_parameters(params)
-    ev, jac = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], ref["ref_d1"],
-                                ref["tangents"], ref["ref_twist"], rest, stiff,
-                                with_jacobian=True)
+    ev = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], ref["ref_d1"],
+                           ref["tangents"], ref["ref_twist"], rest, stiff)
+    jac = jacobian_from_eval(ev, rest, stiff)
     assert relative_error(jac, ref[f"{case}_band"]) <= 1e-12
     assert relative_error(ev.force, ref[f"{case}_force"]) <= 1e-12
     assert ev.energy == pytest.approx(float(ref[f"{case}_energy"]), rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flagsim import build_initial_configuration, paper_parameters
-from flagsim.elastic import ElasticStiffnesses, RestConfiguration, internal_force
+from flagsim.elastic import ElasticStiffnesses, RestConfiguration
 from flagsim.params import PhysicalParameters
 from flagsim.rod import (
     DegenerateEdgeError,
@@ -13,6 +13,8 @@ from flagsim.rod import (
     unpack_dofs,
 )
 from dataclasses import replace
+
+from conftest import elastics_at
 
 
 def test_edge_length_and_contour_values(paper_params):
@@ -39,7 +41,7 @@ def test_minimal_rod_counts():
 
 def test_built_state_is_stress_free(paper_built, paper_params):
     state, rest, stiff = paper_built
-    f = internal_force(state, rest, stiff)
+    f = elastics_at(state, rest, stiff).force
     assert np.linalg.norm(f) < 1e-10 * paper_params.youngs_modulus * paper_params.rod_radius ** 2
 
 

@@ -7,7 +7,7 @@ import pytest
 import flagsim.stepper as stepper
 from flagsim import build_initial_configuration, desk_parameters
 from flagsim import hydro
-from flagsim.elastic import RestConfiguration, dense_from_band
+from flagsim.elastic import RestConfiguration
 from flagsim.rod import DegenerateEdgeError, node_dof_indices
 from flagsim.stepper import (
     AngularVelocityProfile,
@@ -19,7 +19,7 @@ from flagsim.stepper import (
     step,
 )
 
-from conftest import committed_perturbation, fallback_sizes, flaky_step
+from conftest import committed_perturbation, dense_from_band, fallback_sizes, flaky_step
 
 
 def test_node_separation_failure_is_simulation_error(monkeypatch):
