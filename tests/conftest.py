@@ -81,6 +81,13 @@ def dense_from_band(ab: np.ndarray) -> np.ndarray:
     return a
 
 
+def brute_polyline_distance(points, verts, n_grid):
+    """Distance from each point to the nearest of n_grid samples on every segment."""
+    t = np.linspace(0, 1, n_grid)[:, None, None]
+    samples = (verts[:-1] + t * (verts[1:] - verts[:-1])).reshape(-1, 3)
+    return np.linalg.norm(points[:, None] - samples, axis=2).min(axis=1)
+
+
 def flaky_step(real_step, error, every_call=False):
     """A step that raises error on its first call, if full-size, or on every call.
 

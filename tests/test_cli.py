@@ -17,10 +17,12 @@ from flagsim.cli import (
     trajectory_csv,
 )
 from flagsim.config import ConfigError, load_config, preset
-from flagsim.geometry import SteeringDatapoint
+from flagsim.geometry import SteeringDatapoint, polyline_distance
 from flagsim.hydro import HydroSolveError
 from flagsim.learning import MLPModel
 from flagsim.stepper import StepControls
+
+from conftest import brute_polyline_distance
 
 
 def tiny_config(tmp_path, duration_scale=1.0):
@@ -218,6 +220,34 @@ def test_eval_exact_and_offset(tmp_path):
     summary = json.loads(out.read_text())
     assert summary["max_error_m"] == pytest.approx(d, abs=1e-12)
     assert summary["median_error_m"] == pytest.approx(d, abs=1e-12)
+
+
+def test_eval_matches_brute_force_oracle(tmp_path):
+    # 40 trajectory heads against a 4-segment waypoint path; a 4001-point
+    # grid per segment overestimates each distance by less than 1e-4
+    rng = np.random.default_rng(4)
+    waypoints = rng.standard_normal((5, 3)) * 0.1
+    heads = rng.standard_normal((40, 3)) * 0.1
+    brute = brute_polyline_distance(heads, waypoints, 4001)
+    got = np.array([polyline_distance(h, waypoints) for h in heads])
+    assert np.all(got <= brute + 1e-12)
+    assert np.all(got >= brute - 1e-4)
+
+    wp_path = tmp_path / "wp.json"
+    wp_path.write_text(json.dumps(waypoints.tolist()))
+    rows = [TRAJECTORY_HEADER]
+    for i, h in enumerate(heads):
+        rows.append(",".join(f"{v:.17g}" for v in [0.5 * i, *h, 0, 0, 0, 0, 0, 0, 0.3]))
+    traj_path = tmp_path / "heads.csv"
+    traj_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "summary.json"
+    rc = main(["eval", "--trajectory", str(traj_path), "--waypoints", str(wp_path),
+               "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(out.read_text())
+    for key, stat in [("max_error_m", np.max), ("median_error_m", np.median),
+                      ("mean_error_m", np.mean)]:
+        assert stat(brute) - 1e-4 <= summary[key] <= stat(brute) + 1e-12
 
 
 def test_steering_window_extraction():
