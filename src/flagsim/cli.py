@@ -24,7 +24,6 @@ from .control import (
     ControlConfig,
     InverseMaps,
     run_closed_loop,
-    write_control_log,
 )
 from .geometry import SteeringDatapoint, polyline_distance
 from .learning import (
@@ -256,7 +255,9 @@ def cmd_control(args) -> int:
                              controls=cfg.solver, max_duration=args.max_duration)
     base = os.path.splitext(args.out)[0]
     _atomic_write(args.out, trajectory_csv(result))
-    write_control_log(base + "_control_log.jsonl", result.log)
+    _atomic_write(base + "_control_log.jsonl",
+                  "".join(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n"
+                          for rec in result.log))
     err_lines = ["t,error"]
     err_lines += [f"{t:.17g},{e:.17g}" for t, e in zip(result.times, result.tracking_error)]
     _atomic_write(base + "_tracking_error.csv", "\n".join(err_lines) + "\n")

@@ -9,7 +9,6 @@ desired turn-plane azimuth is realized. Actuation is binary plus stop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -405,9 +404,3 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
         waypoint_pass_times=pass_times,
         tracking_error=errors,
     )
-
-
-def write_control_log(path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")

@@ -75,7 +75,8 @@ class MLPModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MLPModel":
-        return cls(
+        """The model data holds; ValueError if a shape disagrees with layer_sizes."""
+        model = cls(
             layer_sizes=list(data["layer_sizes"]),
             weights=[np.asarray(w, dtype=float) for w in data["weights"]],
             biases=[np.asarray(b, dtype=float) for b in data["biases"]],
@@ -85,6 +86,17 @@ class MLPModel:
             output_scale=np.asarray(data["output_norm"]["scale"], dtype=float),
             metadata=dict(data.get("metadata", {})),
         )
+        sizes = model.layer_sizes
+        if len(sizes) < 2:
+            raise ValueError(f"layer_sizes {sizes} needs an input and an output width")
+        found = [a.shape for a in (*model.weights, *model.biases, model.input_shift,
+                                   model.input_scale, model.output_shift, model.output_scale)]
+        expected = ([(n_out, n_in) for n_in, n_out in zip(sizes, sizes[1:])]
+                    + [(n_out,) for n_out in sizes[1:]] + [(sizes[0],)] * 2 + [(sizes[-1],)] * 2)
+        if found != expected:
+            raise ValueError(f"array shapes {found} do not fit layer_sizes {sizes}, "
+                             f"which need {expected}")
+        return model
 
     def save(self, path) -> None:
         text = json.dumps(self.to_json_dict(), indent=1, sort_keys=True)

@@ -15,15 +15,17 @@ simulate continues a run from such a checkpoint, so runs that share a start
 compute it once. step is one time step and holds no state between calls.
 
 The drag solve goes through the mobility spectrum with its eigenvalues
-floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum);
-Integrator recomputes it every MOBILITY_REFRESH full steps.
+floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum).
+step takes the spectrum from its caller. Integrator keeps one cache of it,
+which the full step and the fallback substeps share, and rebuilds it every
+MOBILITY_REFRESH steps of either size.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -53,16 +55,15 @@ class SimulationError(RuntimeError):
 
 
 MOBILITY_FLOOR = 0.25  # spectral floor of the drag solve, as a fraction of the local drag
-MOBILITY_REFRESH = 8   # full steps between spectrum recomputations in Integrator
+MOBILITY_REFRESH = 8   # steps, full or sub, between spectrum rebuilds in Integrator
 
 
 @dataclass(frozen=True)
 class StepControls:
     """Solver settings of step and Integrator.
 
-    The Newton matrix is always the analytic banded elastic Jacobian and the
-    drag solve always goes through the mobility spectrum clamped at
-    MOBILITY_FLOOR.
+    The Newton matrix is always the analytic banded elastic Jacobian, and
+    the drag solve always goes through the spectrum step is given.
     """
 
     newton_tol: float = 1e-6        # relative force-residual tolerance
@@ -79,7 +80,6 @@ class StepControls:
 @dataclass
 class StepDiagnostics:
     iterations: int = 0
-    residuals: list = field(default_factory=list)
     converged: bool = False
 
 
@@ -155,23 +155,22 @@ def mobility_spectrum(state: RodState, params: PhysicalParameters) -> tuple[np.n
 
 
 def external_force(state: RodState, params: PhysicalParameters,
-                   spectrum: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   spectrum: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Hydrodynamic force vector f_ext over all DOFs at the current configuration.
 
     The head velocity is the state's velocities[0:3]; the head spin is
     closed self-consistently with the flagellar forces by torque balance
     inside the solve. spectrum is the clamped mobility spectrum to solve
-    with (Integrator passes a cached one, refreshed every MOBILITY_REFRESH
-    full steps; the configuration drifts a fraction of an edge length in
-    between); None computes it here.
+    with (mobility_spectrum), taken at this configuration or at one a few
+    steps back: Integrator rebuilds its cached spectrum every
+    MOBILITY_REFRESH steps, and the rod drifts a fraction of an edge length
+    in between.
     """
     n = params.node_count
     pos = state.positions
     r_h = pos[1:] - pos[0]
     pos_idx, _ = node_dof_indices(n)
     node_vel = state.velocities[pos_idx]
-    if spectrum is None:
-        spectrum = mobility_spectrum(state, params)
     f_flag, _ = hydro.solve_forces_and_head_spin(
         spectrum, node_vel[1:], r_h, node_vel[0],
         params.head_radius, params.viscosity,
@@ -197,11 +196,10 @@ def external_force(state: RodState, params: PhysicalParameters,
 
 def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
          params: PhysicalParameters, omega: float, controls: StepControls,
-         spectrum: tuple[np.ndarray, np.ndarray] | None = None,
-         ) -> tuple[RodState, StepDiagnostics]:
+         spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[RodState, StepDiagnostics]:
     """Advance the system one time step under actuation rate omega [rad/s].
 
-    spectrum is passed on to external_force.
+    spectrum is the clamped mobility spectrum, passed on to external_force.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
@@ -234,7 +232,6 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     diag = StepDiagnostics()
     converged = False
     ev, residual, rnorm = force_eval(q_new)
-    diag.residuals.append(rnorm)
     # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
     # force-free equilibrium converges immediately.
     scale = max(np.linalg.norm(f_ext), np.linalg.norm(ev.force),
@@ -274,7 +271,6 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
         if best is None:
             raise NewtonDivergenceError("line search failed on every step length", diag)
         q_new, ev, residual, rnorm = best
-        diag.residuals.append(rnorm)
         diag.iterations = it + 1
 
     if not converged:
@@ -301,18 +297,20 @@ class Integrator:
 
     Owns a copy of the state, the rest configuration (built from params
     when not given), the stiffnesses, the time step and the step count;
-    time is steps * dt, counted from the given or built state. The clamped
-    mobility spectrum is cached and refreshed every MOBILITY_REFRESH full
-    steps. On a step that fails to converge the integrator drops to half
-    (then quarter) substeps and keeps the reduction for a one-second
-    recovery window before trying the full step again; the cache is
-    cleared when the window opens. Only a failure at the finest level
-    propagates, as SimulationError. An edge
-    that collapses or reverses (DegenerateEdgeError, e.g. in step's explicit
-    predictor) takes the same retries. A HydroSolveError (e.g. two nodes
-    closer than the cutoff) becomes SimulationError at once, without substep
-    retries. copy() forks the run: the fork and the original advance
-    bit-identically.
+    time is steps * dt, counted from the given or built state. On a step
+    that fails to converge the integrator drops to half (then quarter)
+    substeps and keeps the reduction for a one-second recovery window
+    before trying the full step again. Only a failure at the finest level
+    propagates, as SimulationError. An edge that collapses or reverses
+    (DegenerateEdgeError, e.g. in step's explicit predictor) takes the same
+    retries. A HydroSolveError (e.g. two nodes closer than the cutoff)
+    becomes SimulationError at once, without substep retries. copy() forks
+    the run: the fork and the original advance bit-identically.
+
+    Full steps and substeps share one cached mobility spectrum, rebuilt
+    before every MOBILITY_REFRESH-th step of either size. It may date from
+    a substep that a failure rolled back, within one step of the current
+    state: inside the drift the cache tolerates between rebuilds.
     """
 
     def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
@@ -328,7 +326,7 @@ class Integrator:
         self.stiff = ElasticStiffnesses.from_parameters(params)
         self.steps = 0
         self._spectrum = None
-        self._age = 0  # full steps attempted; a multiple of MOBILITY_REFRESH refreshes
+        self._age = 0  # steps attempted, full or sub; a multiple of MOBILITY_REFRESH rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
 
@@ -391,16 +389,12 @@ class Integrator:
 
     def _advance_one(self, omega: float) -> None:
         t = self.time
-        levels = (1, 2) if self._recover > 0 else (0, 1, 2)
-        for level in levels:
+        for sub in (2, 4) if self._recover > 0 else (1, 2, 4):
             try:
-                if level == 0:
-                    self._full_step(omega)
-                else:
-                    self._substeps(omega, 2 ** level)
+                self._step(omega, sub)
                 break
             except (NewtonDivergenceError, DegenerateEdgeError) as exc:
-                if level == 2:
+                if sub == 4:
                     raise SimulationError(
                         f"step at t={t:.6f}s failed even at a quarter of the "
                         f"time step: {exc}"
@@ -412,23 +406,20 @@ class Integrator:
             self._recover -= 1
         self.steps += 1
 
-    def _full_step(self, omega: float) -> None:
-        if self._spectrum is None or self._age % MOBILITY_REFRESH == 0:
-            self._spectrum = None  # release the old spectrum before building the new one
-            self._spectrum = mobility_spectrum(self.state, self.params)
-        self._age += 1
-        self.state, _ = step(self.state, self.rest, self.stiff, self.params, omega,
-                             self.controls, self._spectrum)
-
-    def _substeps(self, omega: float, sub: int) -> None:
-        controls = replace(self.controls, time_step=self.dt / sub)
+    def _step(self, omega: float, sub: int) -> None:
+        """One time step as sub steps of dt / sub; sub = 1 is the full step."""
+        controls = self.controls if sub == 1 else replace(self.controls, time_step=self.dt / sub)
         state = self.state
         for _ in range(sub):
-            state, _ = step(state, self.rest, self.stiff, self.params, omega, controls)
+            if self._spectrum is None or self._age % MOBILITY_REFRESH == 0:
+                self._spectrum = None  # release the old spectrum before building the new one
+                self._spectrum = mobility_spectrum(state, self.params)
+            self._age += 1
+            state, _ = step(state, self.rest, self.stiff, self.params, omega, controls,
+                            self._spectrum)
         self.state = state
-        if self._recover == 0:
+        if sub > 1 and self._recover == 0:
             self._recover = self._recover_window
-            self._spectrum = None
 
 
 def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,

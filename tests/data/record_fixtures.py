@@ -15,6 +15,10 @@ writes, next to this script:
 - paper_cruise.npz: head and node-1 samples of the paper rod (paper
   preset, N=122, dt=1 ms) at a constant 3 rpm on the 0.01 s grid for
   0.05 s: 50 steps across 7 mobility-spectrum refreshes.
+- fallback_tiny.npz: head and node-1 samples of the tiny rod at a
+  constant 3 rpm on the 0.1 s grid for 1 s, with its first full step
+  failing (conftest.flaky_step): all 200 steps run as half steps in the
+  one-second recovery window.
 - training.npz: inputs, targets, predictions on those inputs and epochs
   of trained regressors. "maps_*" are the four inverse maps that
   fit_inverse_maps(conftest.make_synthetic_dataset(), TrainControls(seed=13,
@@ -27,7 +31,9 @@ last revision with the entry-by-entry bend/twist Hessian; training.npz at
 commit 35e3801, the last revision that solved each damped Gauss-Newton
 step with np.linalg.solve on the parameter-space matrix; paper_cruise.npz
 at commit a74f3fa, the last revision that decomposed the mobility with
-np.linalg.eigh and applied its spectrum to one right-hand side at a time.
+np.linalg.eigh and applied its spectrum to one right-hand side at a time;
+fallback_tiny.npz at commit b17636b, the last revision that built a new
+spectrum for every substep.
 Re-record only after a deliberate change to the physics or the trainer.
 Name fixtures to record only those:
 
@@ -45,13 +51,14 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from conftest import committed_perturbation, make_synthetic_dataset  # noqa: E402
+from conftest import committed_perturbation, flaky_step, make_synthetic_dataset  # noqa: E402
 from flagsim import (  # noqa: E402
     ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
     paper_parameters,
+    stepper,
 )
 from flagsim.elastic import evaluate_elastics, jacobian_from_eval  # noqa: E402
 from flagsim.learning import (  # noqa: E402
@@ -60,7 +67,12 @@ from flagsim.learning import (  # noqa: E402
     fit_inverse_maps,
     train_regressor,
 )
-from flagsim.stepper import AngularVelocityProfile, simulate  # noqa: E402
+from flagsim.stepper import (  # noqa: E402
+    AngularVelocityProfile,
+    NewtonDivergenceError,
+    StepDiagnostics,
+    simulate,
+)
 
 RPM = 2.0 * math.pi / 60.0
 
@@ -102,6 +114,17 @@ def record_paper() -> dict[str, np.ndarray]:
     return {"head": traj.head, "node1": traj.node1}
 
 
+def record_fallback() -> dict[str, np.ndarray]:
+    params = desk_parameters(node_count=16, time_step=0.005)
+    real = stepper.step
+    stepper.step, _ = flaky_step(real, NewtonDivergenceError("injected", StepDiagnostics()))
+    try:
+        traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 1.0, 0.1)
+    finally:
+        stepper.step = real
+    return {"head": traj.head, "node1": traj.node1}
+
+
 def record_training() -> dict[str, np.ndarray]:
     data = make_synthetic_dataset()
     maps = fit_inverse_maps(data, TrainControls(seed=13, max_epochs=60))
@@ -130,7 +153,8 @@ def record_training() -> dict[str, np.ndarray]:
 
 
 RECORDERS = {"jacobian_n10": record_jacobians, "pulse_tiny": record_pulse,
-             "paper_cruise": record_paper, "training": record_training}
+             "paper_cruise": record_paper, "fallback_tiny": record_fallback,
+             "training": record_training}
 
 if __name__ == "__main__":
     for name in sys.argv[1:] or RECORDERS:

@@ -351,9 +351,16 @@ def test_help_exits_zero(argv):
     assert info.value.code == 0
 
 
-def test_malformed_model_file_is_input_error(tmp_path, capsys):
+# layer_sizes [2, 1] with a (1, 3) weight: loads, but fails at the first prediction
+WIDE_WEIGHT_MODEL = {"layer_sizes": [2, 1], "weights": [[[0.0, 0.0, 0.0]]], "biases": [[0.0]],
+                     "input_norm": {"shift": [0.0, 0.0], "scale": [1.0, 1.0]},
+                     "output_norm": {"shift": [0.0], "scale": [1.0]}}
+
+
+@pytest.mark.parametrize("content", [{}, WIDE_WEIGHT_MODEL], ids=["empty", "weight-too-wide"])
+def test_malformed_model_file_is_input_error(tmp_path, capsys, content):
     write_models(tmp_path / "models")
-    (tmp_path / "models" / "f_L.json").write_text("{}")
+    (tmp_path / "models" / "f_L.json").write_text(json.dumps(content))
     waypoints = tmp_path / "wp.json"
     waypoints.write_text(json.dumps([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]))
     out = tmp_path / "t.csv"
@@ -363,3 +370,32 @@ def test_malformed_model_file_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "f_L.json" in err
     assert not out.exists()
+
+
+def test_control_writes_outputs(tmp_path):
+    # One trajectory row per sample, one tracking error per sample and one
+    # log line per decision; the controller decides after every interval.
+    write_models(tmp_path / "models")
+    waypoints = tmp_path / "wp.json"
+    waypoints.write_text(json.dumps([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]))
+    out = tmp_path / "t.csv"
+    rc = main(["control", "--config", tiny_config(tmp_path), "--models",
+               str(tmp_path / "models"), "--waypoints", str(waypoints), "--out", str(out),
+               "--max-duration", "6"])
+    assert rc == 0
+    times = read_trajectory_csv(out)[:, 0]
+    np.testing.assert_array_equal(times, 0.5 * np.arange(13))
+
+    errors = (tmp_path / "t_tracking_error.csv").read_text().splitlines()
+    assert errors[0] == "t,error"
+    rows = np.array([[float(v) for v in line.split(",")] for line in errors[1:]])
+    np.testing.assert_array_equal(rows[:, 0], times)
+    assert np.all(rows[:, 1] >= 0.0)
+
+    log = [json.loads(line)
+           for line in (tmp_path / "t_control_log.jsonl").read_text().splitlines()]
+    assert [rec["time"] for rec in log] == times[1:].tolist()
+    assert [rec["rejection"] for rec in log[:10]] == ["startup"] * 10
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "models", "t.csv", "t_control_log.jsonl", "t_tracking_error.csv",
+        "wp.json"]

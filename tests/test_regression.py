@@ -1,12 +1,14 @@
-"""The elastic kernel, two short trajectories and trained regressors against
-recorded references.
+"""The elastic kernel, three short trajectories and trained regressors
+against recorded references.
 
 tests/data/record_fixtures.py says how the references were made. The
 kernel arrays match to 1e-12 relative (reordered floating-point sums move
 them by about 1e-16); the trajectories, which compound rounding over 600
 (tiny rod) and 50 (paper rod) Newton steps, match to 1e-9 of the head's
-travel. The regressors were recorded with a parameter-space solve of each
-damped Gauss-Newton step; the Gram-matrix solve that replaced it reorders
+travel. The substep recovery window was recorded with a new spectrum for
+every substep and now reuses the cached one, so it matches to 1e-3. The
+regressors were recorded with a parameter-space solve of each damped
+Gauss-Newton step; the Gram-matrix solve that replaced it reorders
 the sums, so predictions on the training inputs match to 1e-8 of each
 target's spread, after equal epochs.
 """
@@ -17,17 +19,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_dataset
+from conftest import flaky_step, make_synthetic_dataset
 from flagsim import (
     ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
     paper_parameters,
+    hydro,
+    stepper,
 )
 from flagsim.elastic import evaluate_elastics, jacobian_from_eval
 from flagsim.learning import TrainControls, fit_inverse_maps, train_regressor
-from flagsim.stepper import AngularVelocityProfile, simulate
+from flagsim.stepper import (
+    AngularVelocityProfile,
+    NewtonDivergenceError,
+    StepDiagnostics,
+    simulate,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 RPM = 2.0 * math.pi / 60.0
@@ -76,6 +85,33 @@ def test_paper_cruise_matches_recorded(paper_params):
     np.testing.assert_array_equal(traj.times, 0.01 * np.arange(6))
     assert np.max(np.abs(traj.head - ref["head"])) <= 1e-9 * travel
     assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-9 * travel
+
+
+def test_recovery_window_matches_recorded(monkeypatch):
+    # tiny rod at 3 rpm whose first full step fails: 200 steps as 400 half
+    # steps sharing the spectrum cache, rebuilt every 8 of them (51 spectra;
+    # 401 when every substep built its own). Rebuilding every 8 steps
+    # instead of every step moves a fallback-free run's head by 1.9e-4 of
+    # its travel and node 1 by 5.6e-4; it moves this window's by 1.0e-4 and
+    # 2.8e-4. The tolerance is 1e-3 of the head's travel.
+    ref = np.load(DATA / "fallback_tiny.npz")
+    params = desk_parameters(node_count=16, time_step=0.005)
+    spectra = []
+    clamped_spectrum = hydro.clamped_spectrum
+
+    def counting(*args):
+        spectra.append(None)
+        return clamped_spectrum(*args)
+
+    monkeypatch.setattr(hydro, "clamped_spectrum", counting)
+    flaky, sizes = flaky_step(stepper.step, NewtonDivergenceError("injected", StepDiagnostics()))
+    monkeypatch.setattr(stepper, "step", flaky)
+    traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 1.0, 0.1)
+    assert sizes.count(0.0025) == 400 and len(spectra) <= 51
+    travel = np.max(np.linalg.norm(ref["head"] - ref["head"][0], axis=1))
+    assert travel > 1e-5
+    assert np.max(np.abs(traj.head - ref["head"])) <= 1e-3 * travel
+    assert np.max(np.abs(traj.node1 - ref["node1"])) <= 1e-3 * travel
 
 
 def assert_fit_matches(result, ref, prefix):

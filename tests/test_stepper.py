@@ -68,7 +68,8 @@ def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built)
 
     monkeypatch.setattr(stepper, "get_lapack_funcs", recording)
     omega = 3 * 2 * math.pi / 60
-    _, diag = step(state, rest, stiff, desk_params, omega, StepControls())
+    _, diag = step(state, rest, stiff, desk_params, omega, StepControls(),
+                   stepper.mobility_spectrum(state, desk_params))
     assert diag.converged and len(solves) == diag.iterations >= 1
     for dense, rhs, dq in solves:
         np.testing.assert_allclose(dq, np.linalg.solve(dense, rhs), rtol=1e-10)
