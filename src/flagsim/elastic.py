@@ -74,8 +74,10 @@ from .rod import (
     DegenerateEdgeError,
     RodState,
     cross_rows,
-    material_frames,
-    parallel_transport,
+    rotate_directors,
+    skew_rows,
+    transport_rotations,
+    twist_turns,
     update_reference_twist,
 )
 
@@ -106,13 +108,16 @@ class RestConfiguration:
     twist: np.ndarray          # (N-2,) natural twist
     mass: np.ndarray           # (4N-1,) lumped mass per DOF
     min_edge: float            # degenerate-edge guard [m]
+    moduli: np.ndarray         # (N-2, 3) (EI, EI, GJ) / l_vor per internal node
 
     @classmethod
     def from_built_state(cls, params: PhysicalParameters, state: RodState) -> "RestConfiguration":
         lengths = np.linalg.norm(state.edges, axis=1)
         voronoi = 0.5 * (lengths[:-1] + lengths[1:])
-        m1, m2 = state.material_frames()
-        kappa = _curvatures(state.tangents, m1, m2)[-1]
+        tangents = state.tangents
+        _, chi, b = transport_rotations(tangents[:-1], tangents[1:])
+        material = np.stack(state.material_frames(), axis=1)
+        kappa = _stencil_curvature(chi, b, material)[-1]
         twist = state.thetas[1:] - state.thetas[:-1] + state.ref_twist
 
         n = params.node_count
@@ -126,6 +131,7 @@ class RestConfiguration:
         # inertia about transverse axes acts at the base node one radius away.
         node_mass[1] += 0.4 * head_mass
         edge_inertia = 0.5 * (rho_a * lengths) * params.rod_radius ** 2
+        stiff = ElasticStiffnesses.from_parameters(params)
 
         mass = np.empty(4 * n - 1)
         idx = np.arange(n)
@@ -138,25 +144,54 @@ class RestConfiguration:
             twist=twist,
             mass=mass,
             min_edge=1e-6 * params.edge_length,
+            moduli=np.array([stiff.bending, stiff.bending, stiff.twisting]) / voronoi[:, None],
         )
+
+
+@dataclass(frozen=True)
+class CommittedFrames:
+    """The committed configuration that a step's evaluations transport from.
+
+    Built once per step (CommittedFrames.of); every evaluate_elastics of the
+    step's Newton solve reads it and none writes it.
+    """
+
+    d1: np.ndarray         # (N-1, 3) reference director 1 per edge
+    tangents: np.ndarray   # (N-1, 3) unit tangents
+    ref_twist: np.ndarray  # (N-2,) reference twist per internal node
+    turns: np.ndarray      # (N-2, 2, 2) twist_turns(ref_twist)
+
+    @classmethod
+    def of(cls, d1: np.ndarray, tangents: np.ndarray, ref_twist: np.ndarray) -> "CommittedFrames":
+        return cls(d1, tangents, ref_twist, twist_turns(ref_twist))
+
+    @classmethod
+    def from_state(cls, state: RodState) -> "CommittedFrames":
+        return cls.of(state.ref_d1, state.tangents, state.ref_twist)
 
 
 @dataclass
 class ElasticEval:
     """Elastic forces at a candidate configuration, plus the adapted frames.
 
-    Carries the geometric intermediates so the Jacobian can be assembled
-    later without re-evaluating the configuration.
+    Carries the geometric intermediates so the Jacobian (and the energy, on
+    demand) can be computed later without re-evaluating the configuration.
     """
 
     force: np.ndarray        # (4N-1,)
-    energy: float
     tangents: np.ndarray     # (N-1, 3)
     d1: np.ndarray           # (N-1, 3) reference frames transported onto the candidate
     d2: np.ndarray
     ref_twist: np.ndarray    # (N-2,)
     edge_lengths: np.ndarray
     _cache: dict | None = None
+
+    @property
+    def energy(self) -> float:
+        """Stretch plus bend/twist energy; the Newton solve never reads it."""
+        c = self._cache
+        energy = 0.5 * (c["w"] * c["strain"]).sum()
+        return energy + 0.5 * c["ea"] * (c["stretch"] * c["stretch"] * c["rest_lengths"]).sum()
 
 
 def _check_edges(lengths: np.ndarray, min_edge: float) -> None:
@@ -167,214 +202,189 @@ def _check_edges(lengths: np.ndarray, min_edge: float) -> None:
         )
 
 
-def _adapted_geometry(positions, thetas, prev_d1, prev_tangents, prev_ref_twist, min_edge):
-    edges = positions[1:] - positions[:-1]
-    lengths = np.sqrt((edges * edges).sum(axis=1))
-    _check_edges(lengths, min_edge)
-    tangents = edges / lengths[:, None]
-    d1 = parallel_transport(prev_d1, prev_tangents, tangents)
-    d1 -= (d1 * tangents).sum(axis=1)[:, None] * tangents
-    d1 /= np.sqrt((d1 * d1).sum(axis=1))[:, None]
-    d2 = cross_rows(tangents, d1)
-    ref_twist = update_reference_twist(d1, tangents, prev_ref_twist)
-    m1, m2 = material_frames(d1, d2, thetas)
-    return lengths, tangents, d1, d2, ref_twist, m1, m2
-
-
 # The stencil 8-vectors [x, a, y, b] are built as (2, 4) arrays, one row
 # per side: e = [x, a], f = [y, b].
+_HALF_SIGNS = np.array([0.5, -0.5])
 _SIGNS = np.array([1.0, -1.0])
 _TWIST_THETA = np.array([-1.0, 1.0])  # dtau/dtheta_e, dtau/dtheta_f
 # (w1, w2, w_t) -> [[w1, w2], [-w2, w1]], the weights of a and b on (m1, m2)
 _AB_WEIGHTS = np.array([[0, 1], [1, 0]])
 _AB_SIGNS = np.array([[1.0, 1.0], [-1.0, 1.0]])
-_BLOCK_SIGNS = np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 1, 2, 1)
 _EYE = np.eye(3)
 # Embedding of an 8-vector whose x is already divided by l_e and y by l_f
 # on the 11 stencil DOFs: (-x, a, x - y, b, y).
 _EMBED = np.zeros((8, 11))
 _EMBED[[0, 1, 2, 0, 1, 2, 3], [0, 1, 2, 4, 5, 6, 3]] = [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
 _EMBED[[4, 5, 6, 4, 5, 6, 7], [4, 5, 6, 8, 9, 10, 7]] = [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+# sum_j [e_j, 0, e_j, 0] [e_j, 0, e_j, 0]^T: identity blocks on the x and y sides.
+_SIDE_IDENTITY = np.zeros((8, 8))
+for _i, _j in ((0, 0), (0, 4), (4, 0), (4, 4)):
+    _SIDE_IDENTITY[_i:_i + 3, _j:_j + 3] = _EYE
 
-# Rank-one terms, in the order of the module docstring's table, with the
-# sym() halving folded into the coefficients. Rows 0..5 depend on the
-# stencil; rows 6..8 (identity) and 9..11 (skew) are constant in u; rows
-# 12..14 are the strain gradients.
-_N_TERMS = 15
-_U_CONST = np.zeros((_N_TERMS, 2, 4))
-_U_CONST[6:9, 0, :3] = _EYE
-_U_CONST[6:9, 1, :3] = _EYE
-_U_CONST[9:12, 0, :3] = _EYE
-_V_CONST = np.zeros((_N_TERMS, 2, 4))
-_V_CONST[4, 0, 3] = 1.0
-_V_CONST[5, 1, 3] = 1.0
-_V_CONST[6:9] = _U_CONST[6:9]
-_C_CONST = np.array([0.5, 0.0, 0.25, 0.25, 0.5, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0])
+# Rank-one terms that go through the batched product, with the sym()
+# halving folded into c v: the rows 0..5 of the module docstring's table,
+# then the strain gradients. The constant-u rows (identity and skew) are
+# added as blocks. Row 8's theta entries (dtau/dtheta) and the unit theta
+# columns of rows 4 and 5 are constant.
+_N_PRODUCT = 9
+_TERMS_TEMPLATE = np.zeros((2, 1, _N_PRODUCT, 2, 4))  # [u, c v]
+_TERMS_TEMPLATE[0, 0, 8, :, 3] = _TWIST_THETA
+_TERMS_TEMPLATE[1, 0, 4, 0, 3] = 0.5
+_TERMS_TEMPLATE[1, 0, 5, 1, 3] = 0.5
 
 
-def _curvatures(tangents, m1, m2):
-    """Curvature at each internal node, with the pieces the derivatives reuse.
+def _stencil_curvature(chi, b, material):
+    """Curvature binormals and curvatures of the stencils, with the pieces the derivatives reuse.
 
-    Returns chi = 1 + t_e.t_f (S,), the binormal kb (S, 3), the material
-    directors as (S, 2, 2, 3) indexed [node, edge e/f, director m1/m2],
-    their projections kb.m (S, 2, 2), and kappa (S, 2).
+    chi = 1 + t_e.t_f (S,) and b = t_e x t_f (S, 3) are the transport of
+    edge e onto edge f; material holds the directors (m1, m2) per edge,
+    (N-1, 2, 3). Returns kb (S, 3), the stencils' directors (S, 2, 2, 3)
+    indexed [node, edge e/f, m1/m2], their projections kb.m (S, 2, 2) and
+    kappa (S, 2).
     """
-    te, tf = tangents[:-1], tangents[1:]
-    chi = 1.0 + (te * tf).sum(axis=1)
-    kb = 2.0 * cross_rows(te, tf) / chi[:, None]
-    frames = np.stack((m1[:-1], m2[:-1], m1[1:], m2[1:]), axis=1).reshape(-1, 2, 2, 3)
-    proj = (frames @ kb[:, None, :, None])[..., 0]
+    kb = 2.0 * b / chi[:, None]
+    frames = np.concatenate((material[:-1], material[1:]), axis=1).reshape(-1, 2, 2, 3)
+    proj = (frames.reshape(-1, 4, 3) @ kb[:, :, None]).reshape(-1, 2, 2)
     # (k1, k2) = (kb.(m2_e + m2_f), -kb.(m1_e + m1_f)) / 2
-    kappa = 0.5 * _SIGNS * (proj[:, 0] + proj[:, 1])[:, ::-1]
-    return chi, kb, frames, proj, kappa
+    kappa = (proj[:, 0] + proj[:, 1])[:, ::-1] * _HALF_SIGNS
+    return kb, frames, proj, kappa
 
 
-def _stretch_gradients(tangents, strain, stiff):
-    """Per-edge energy gradient wrt (x_i, x_{i+1}): (M, 6)."""
-    g = stiff.stretching * strain[:, None] * tangents
-    return np.concatenate([-g, g], axis=1)
-
-
-def _stretch_hessians(tangents, lengths, rest, stiff):
-    """Per-edge energy Hessian blocks: (M, 6, 6)."""
-    blk = stiff.stretching * (
-        (1.0 / rest.edge_lengths - 1.0 / lengths)[:, None, None] * _EYE
-        + tangents[:, :, None] * tangents[:, None, :] / lengths[:, None, None]
-    )
-    return (blk[:, None, :, None, :] * _BLOCK_SIGNS).reshape(-1, 6, 6)
-
-
-def _bend_twist_gradients(tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff):
-    """Bend plus twist energy and its gradient on the 11-DOF stencils.
-
-    Returns (grad (S, 11), energy, terms), where terms holds what the
-    Hessian reuses: the strain gradients (k1, k2, tau) as 8-vectors
-    "dstrain" (S, 3, 8), their weights w = (w1, w2, w_t) (S, 3), the
-    moduli (EI, EI, GJ)/l_vor (S, 3), the per-stencil embedding "embed"
-    (S, 8, 11) of the 8-vectors on the stencil DOFs and the curvature pieces.
-    """
-    te, tf = tangents[:-1], tangents[1:]
-    chi, kb, frames, proj, kappa = _curvatures(tangents, m1, m2)
-    s = chi.shape[0]
-    t_tilde = (te + tf) / chi[:, None]
-    # (d~2, -d~1) and the cross factors (t_f, -t_e) of the x and y sides
-    dturn = (frames[:, 0] + frames[:, 1])[:, ::-1] * (_SIGNS / chi[:, None])[:, :, None]
-    sides = np.stack((tf, -te), axis=1)
-
-    dstrain = np.empty((s, 3, 2, 4))
-    dstrain[:, :2, :, :3] = (cross_rows(sides[:, None], dturn[:, :, None])
-                             - kappa[:, :, None, None] * t_tilde[:, None, None])
-    dstrain[:, :2, :, 3] = -0.5 * np.swapaxes(proj, 1, 2)
-    dstrain[:, 2, :, :3] = 0.5 * kb[:, None]
-    dstrain[:, 2, :, 3] = _TWIST_THETA
-    dstrain = dstrain.reshape(s, 3, 8)
-
-    strain = np.empty((s, 3))
-    strain[:, :2] = kappa - rest.kappa
-    strain[:, 2] = thetas[1:] - thetas[:-1] + ref_twist - rest.twist
-    moduli = np.array([stiff.bending, stiff.bending, stiff.twisting]) \
-        / rest.voronoi_lengths[:, None]
-    w = moduli * strain
-    energy = 0.5 * (w * strain).sum()
-
-    inv_l = 1.0 / lengths
-    scale = np.ones((s, 8))
-    scale[:, :3] = inv_l[:-1, None]
-    scale[:, 4:7] = inv_l[1:, None]
-    embed = scale[:, :, None] * _EMBED
-    grad = (w[:, None] @ dstrain @ embed)[:, 0]
-    terms = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
-                 t_tilde=t_tilde, dturn=dturn, sides=sides, dstrain=dstrain, w=w,
-                 moduli=moduli, embed=embed)
-    return grad, energy, terms
-
-
-def _rank_one_terms(terms):
-    """The bend/twist Hessian as rank-one terms on the stencils: u and c v.
-
-    Row k of each (S, 15, 11) array holds the k-th term of the module
-    docstring's table, embedded on the 11 stencil DOFs; the energy Hessian
-    of each stencil is u^T (c v) + its transpose (the halving of sym() is
-    folded into c).
-    """
-    te, tf, chi, kb, t_tilde = (terms[k] for k in ("te", "tf", "chi", "kb", "t_tilde"))
-    sides, w = terms["sides"], terms["w"]
-    s = chi.shape[0]
-    wt = w[:, 2:]
-    big_k = (w[:, :2] * terms["kappa"]).sum(axis=1)
-    g = -(w[:, None, :2] @ terms["dturn"])[:, 0]
-    # per edge a = w1 m1 + w2 m2 and w1 m2 - w2 m1 (b without its -w_t t),
-    # as (S, edge, a/b, 3), and their projections on kb
-    weights = w[:, _AB_WEIGHTS] * _AB_SIGNS
-    ab = weights[:, None] @ terms["frames"]
-    kb_ab = terms["proj"] @ np.swapaxes(weights, 1, 2)
-
-    u = np.empty((s, _N_TERMS, 2, 4))
-    u[:] = _U_CONST
-    v = np.empty((s, _N_TERMS, 2, 4))
-    v[:] = _V_CONST
-    u[:, 0, :, :3] = (2.0 * big_k[:, None] * t_tilde - 0.5 * wt * kb)[:, None] \
-        + 2.0 * cross_rows(sides, g[:, None])
-    v[:, 0, :, :3] = t_tilde[:, None]
-    u[:, 1, 0, :3] = te
-    u[:, 1, 1, :3] = -tf
-    v[:, 1] = u[:, 1]
-    u[:, 2, 0, :3] = kb
-    u[:, 3, 1, :3] = kb
-    v[:, 2, 0, :3] = ab[:, 0, 1] - wt * te
-    v[:, 3, 1, :3] = ab[:, 1, 1] - wt * tf
-    u[:, 4:6, :, :3] = kb_ab[:, :, 0, None, None] * t_tilde[:, None, None] \
-        - 2.0 * cross_rows(sides[:, None], ab[:, :, 0, None]) / chi[:, None, None, None]
-    u[:, 4, 0, 3] = -0.5 * kb_ab[:, 0, 1]
-    u[:, 5, 1, 3] = -0.5 * kb_ab[:, 1, 1]
-    v[:, 9:12, 1, :3] = cross_rows(_EYE, (2.0 * g + wt * t_tilde)[:, None])
-    u[:, 12:] = terms["dstrain"].reshape(s, 3, 2, 4)
-    v[:, 12:] = u[:, 12:]
-
-    c = np.empty((s, _N_TERMS))
-    c[:] = _C_CONST
-    c[:, 1] = 0.5 * big_k / chi
-    c[:, 6:9] = -c[:, 1:2]
-    c[:, 12:] = 0.5 * terms["moduli"]
-    embed = terms["embed"]
-    return u.reshape(s, _N_TERMS, 8) @ embed, (v.reshape(s, _N_TERMS, 8) * c[:, :, None]) @ embed
-
-
-def evaluate_elastics(positions, thetas, prev_d1, prev_tangents, prev_ref_twist,
+def evaluate_elastics(positions, thetas, committed: CommittedFrames,
                       rest: RestConfiguration, stiff: ElasticStiffnesses) -> ElasticEval:
-    """Elastic force and energy at a candidate configuration.
+    """Elastic force at a candidate configuration.
 
-    Frames are transported from the committed previous configuration, so the
-    result is a pure function of (positions, thetas) given that anchor. The
-    per-edge stretch and per-node bend/twist gradients are summed onto the
-    (4N-1,) DOF vector with one bincount, stretch entries first. The
-    result carries what jacobian_from_eval needs to assemble the Jacobian.
+    Frames are transported from the committed configuration, so the result
+    is a pure function of (positions, thetas) given that anchor. One set of
+    minimal rotations carries the committed edges onto the candidate ones
+    and each candidate edge e onto its neighbour f; the second set also
+    gives the curvature binormals. The stretch and bend/twist gradients
+    are gathered per edge and differenced onto the nodes. The result
+    carries what jacobian_from_eval needs to assemble the Jacobian.
     """
     n = positions.shape[0]
-    lengths, tangents, d1, d2, ref_twist, m1, m2 = _adapted_geometry(
-        positions, thetas, prev_d1, prev_tangents, prev_ref_twist, rest.min_edge
-    )
-    idx = _dof_indices(n)
-    strain = lengths / rest.edge_lengths - 1.0
-    gs = _stretch_gradients(tangents, strain, stiff)
-    gbt, energy, terms = _bend_twist_gradients(
-        tangents, lengths, m1, m2, thetas, ref_twist, rest, stiff
-    )
-    grad = np.bincount(idx["grad"], weights=np.concatenate([gs.ravel(), gbt.ravel()]),
-                       minlength=4 * n - 1)
-    energy += 0.5 * stiff.stretching * (strain * strain * rest.edge_lengths).sum()
+    m = n - 1
+    edges = positions[1:] - positions[:-1]
+    lengths = np.sqrt((edges * edges).sum(axis=1))
+    _check_edges(lengths, rest.min_edge)
+    tangents = edges / lengths[:, None]
+    # rotations[:m] carry the committed edges onto the candidate ones,
+    # rotations[m:] each candidate edge e onto its neighbour f
+    rotations, rot_chi, rot_b = transport_rotations(
+        np.concatenate((committed.tangents, tangents[:-1])), np.concatenate((tangents, tangents[1:])))
+    d1 = (rotations[:m] @ committed.d1[:, :, None])[:, :, 0]
+    d1 -= (d1 * tangents).sum(axis=1)[:, None] * tangents
+    d1 /= np.sqrt((d1 * d1).sum(axis=1))[:, None]
+    d2 = cross_rows(tangents, d1)
+    ref_frames = np.concatenate((d1, d2), axis=1).reshape(m, 2, 3)
+    ref_twist = update_reference_twist(d1[:-1], rotations[m:], ref_frames[1:],
+                                       committed.turns, committed.ref_twist)
+    chi = rot_chi[m:]
+    kb, frames, proj, kappa = _stencil_curvature(chi, rot_b[m:], rotate_directors(ref_frames, thetas))
 
-    terms.update(idx=idx, n=n)
+    s = m - 1
+    strain = np.empty((s, 3))
+    np.subtract(kappa, rest.kappa, out=strain[:, :2])
+    strain[:, 2] = thetas[1:] - thetas[:-1] + ref_twist - rest.twist
+    w = rest.moduli * strain
+    wt = w[:, 2:]
+
+    # The bend/twist energy gradient as 8-vectors (module docstring): with
+    # K = w1 k1 + w2 k2 and g = w2 d~1 - w1 d~2, the x and y parts are
+    # -K t~ + w_t kb/2 - (t_f, -t_e) x g and the theta parts
+    # -(w1 kb.m1 + w2 kb.m2)/2 -+ w_t.
+    te, tf = tangents[:-1], tangents[1:]
+    t_tilde = (te + tf) / chi[:, None]
+    big_k = w[:, 0] * kappa[:, 0] + w[:, 1] * kappa[:, 1]
+    turned = (frames[:, 0] + frames[:, 1])[:, ::-1] * (_SIGNS / chi[:, None])[:, :, None]
+    g = -(w[:, None, :2] @ turned)[:, 0]
+    sides = np.concatenate((tf, -te), axis=1).reshape(s, 2, 3)
+    half_wt_kb = 0.5 * wt * kb
+    grad_x = (half_wt_kb - big_k[:, None] * t_tilde)[:, None] - sides @ skew_rows(g)
+    kb_a = proj @ w[:, :2, None]  # (S, 2, 1): kb.a per edge, a = w1 m1 + w2 m2
+    grad_theta = -0.5 * kb_a[:, :, 0] + wt * _TWIST_THETA
+
+    # Per edge j, the x part of stencil j and the y part of stencil j - 1,
+    # both over l_j, plus the stretch gradient EA (l/l0 - 1) t; node i then
+    # gets edge i-1's minus edge i's. The force is minus the gradient.
+    stretch = lengths / rest.edge_lengths - 1.0
+    tension = stiff.stretching * stretch
+    per_edge = np.zeros((n + 1, 3))
+    per_edge[1:-2] = grad_x[:, 0]
+    per_edge[2:-1] += grad_x[:, 1]
+    per_edge[1:-1] /= lengths[:, None]
+    per_edge[1:-1] += tension[:, None] * tangents
+    theta_edge = np.zeros(m)
+    theta_edge[:-1] = grad_theta[:, 0]
+    theta_edge[1:] += grad_theta[:, 1]
+    force = np.empty(4 * n)
+    by_node = force.reshape(n, 4)
+    np.subtract(per_edge[1:], per_edge[:-1], out=by_node[:, :3])
+    np.negative(theta_edge, out=by_node[:-1, 3])
+
+    cache = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
+                 t_tilde=t_tilde, turned=turned, sides=sides, g=g, w=w, big_k=big_k, kb_a=kb_a,
+                 half_wt_kb=half_wt_kb, grad_x=grad_x, tension=tension, n=n,
+                 strain=strain, stretch=stretch, ea=stiff.stretching,
+                 rest_lengths=rest.edge_lengths)
     return ElasticEval(
-        force=-grad,
-        energy=energy,
+        force=force[:-1],
         tangents=tangents,
         d1=d1,
         d2=d2,
         ref_twist=ref_twist,
         edge_lengths=lengths,
-        _cache=terms,
+        _cache=cache,
     )
+
+
+def _bend_twist_hessians(c, moduli):
+    """The bend/twist energy Hessians of the stencils on their 8-vectors, (S, 8, 8).
+
+    Rows 0..5 of the module docstring's table and the three strain
+    gradients are stacked as u and c v (S, 9, 8) for one batched product;
+    the identity and skew rows are added as blocks, and the sum is
+    symmetrized.
+    """
+    te, chi, kb, t_tilde, sides, w = (c[k] for k in ("te", "chi", "kb", "t_tilde", "sides", "w"))
+    s = chi.shape[0]
+    wt = w[:, 2:]
+    weights = w[:, _AB_WEIGHTS] * _AB_SIGNS
+    # per edge a = w1 m1 + w2 m2 and w1 m2 - w2 m1 (b without its -w_t t),
+    # as (S, edge, a/b, 3), and kb.b per edge (kb is normal to t_e, t_f)
+    ab = weights[:, None] @ c["frames"]
+    kb_b = (c["proj"] @ weights[:, 1, :, None])[:, :, 0]
+
+    terms = np.empty((2, s, _N_PRODUCT, 2, 4))
+    terms[:] = _TERMS_TEMPLATE
+    u, cv = terms
+    rows = u.reshape(s, 2 * _N_PRODUCT, 4)  # [term, side] flattened: rows[:, 2k + side]
+    np.subtract(c["half_wt_kb"][:, None], 2.0 * c["grad_x"], out=u[:, 0, :, :3])
+    np.multiply(t_tilde[:, None], 0.5, out=cv[:, 0, :, :3])
+    np.negative(sides[:, ::-1], out=u[:, 1, :, :3])  # [t_e, -t_f]
+    k_chi = 0.5 * c["big_k"] / chi
+    np.multiply(u[:, 1], k_chi[:, None, None], out=cv[:, 1])
+    rows[:, 4:8:3, :3] = kb[:, None]  # terms 2 and 3: kb on side e, kb on side f
+    edge_tangents = np.concatenate((te, c["tf"]), axis=1).reshape(s, 2, 3)
+    cv.reshape(s, 2 * _N_PRODUCT, 4)[:, 4:8:3, :3] = \
+        0.25 * (ab[:, :, 1] - wt[:, :, None] * edge_tangents)
+    # (t_f, -t_e) x a_e and x a_f, each times -2/chi: sides @ [a]x is sides x a
+    np.add(c["kb_a"][:, :, :, None] * t_tilde[:, None, None],
+           sides[:, None] @ skew_rows(ab[:, :, 0] * (-2.0 / chi)[:, None, None]),
+           out=u[:, 4:6, :, :3])
+    rows[:, 8:12:3, 3] = -0.5 * kb_b
+    # strain gradients: grad k1, grad k2 and grad tau
+    np.subtract(sides[:, None] @ skew_rows(c["turned"]),
+                c["kappa"][:, :, None, None] * t_tilde[:, None, None], out=u[:, 6:8, :, :3])
+    np.multiply(np.swapaxes(c["proj"], 1, 2), -0.5, out=u[:, 6:8, :, 3])
+    u[:, 8, :, :3] = (0.5 * kb)[:, None]
+    np.multiply(u[:, 6:], 0.5 * moduli[:, :, None, None], out=cv[:, 6:])
+
+    h = np.swapaxes(u.reshape(s, _N_PRODUCT, 8), 1, 2) @ cv.reshape(s, _N_PRODUCT, 8)
+    h -= k_chi[:, None, None] * _SIDE_IDENTITY
+    h[:, :3, 4:7] += skew_rows(c["g"] + 0.5 * wt * t_tilde)
+    h += np.swapaxes(h, 1, 2)
+    return h
 
 
 def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
@@ -384,55 +394,51 @@ def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
     The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
     apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbsv takes
     with kl = ku = BANDWIDTH: a[i, j] sits at [DIAG_ROW + i - j, j], and the
-    first BANDWIDTH rows are zero (LU fill-in space). The bend/twist blocks
-    are one batched product of rank-one terms (see the module docstring),
-    symmetrized and embedded on the 11-DOF stencils; one bincount sums them
-    and the stretch blocks into the band.
+    first BANDWIDTH rows are zero (LU fill-in space). Each stencil's
+    bend/twist Hessian (see the module docstring) gets the stretch block of
+    edge e on its x side (the last stencil also that of edge f on its y
+    side), scaled by l^2 so that the embedding on the 11-DOF stencil, which
+    divides x by l_e and y by l_f, leaves it as the edge's block; one
+    bincount sums the stencils into the band.
     """
     c = ev._cache
-    d = 4 * c["n"] - 1
-    hs = _stretch_hessians(ev.tangents, ev.edge_lengths, rest, stiff)
-    u, cv = _rank_one_terms(c)
-    hbt = np.swapaxes(u, 1, 2) @ cv
-    hbt += np.swapaxes(hbt, 1, 2)
-    weights = np.concatenate([hs.ravel(), hbt.ravel()])
-    hess = np.bincount(c["idx"]["band"], weights=weights, minlength=BAND_ROWS * d)
-    return -hess.reshape(BAND_ROWS, d)
+    n = c["n"]
+    d = 4 * n - 1
+    lengths = ev.edge_lengths
+    h = _bend_twist_hessians(c, rest.moduli)
+    # stretch blocks EA [(1/l0 - 1/l) I + t t^T / l], times l^2
+    t = ev.tangents
+    blocks = (stiff.stretching * lengths)[:, None, None] * (t[:, :, None] * t[:, None, :])
+    blocks += (c["tension"] * lengths)[:, None, None] * _EYE
+    h[:, :3, :3] += blocks[:-1]
+    h[-1, 4:7, 4:7] += blocks[-1]
+    inv_l = 1.0 / lengths
+    scale = np.ones((n - 2, 2, 4))
+    scale[:, 0, :3] = inv_l[:-1, None]
+    scale[:, 1, :3] = inv_l[1:, None]
+    embed = scale.reshape(-1, 8, 1) * _EMBED
+    hess = np.swapaxes(embed, 1, 2) @ h @ embed
+    band = np.bincount(_band_indices(n), weights=hess.ravel(), minlength=BAND_ROWS * d)
+    return -band.reshape(BAND_ROWS, d)
 
 
-_INDEX_CACHE: dict[int, dict[str, np.ndarray]] = {}
+_INDEX_CACHE: dict[int, np.ndarray] = {}
 
 BANDWIDTH = 10  # the 11-DOF bend/twist stencil couples DOFs at most 10 apart
 BAND_ROWS = 3 * BANDWIDTH + 1  # gbsv storage: kl = ku = BANDWIDTH plus kl LU fill rows
 DIAG_ROW = 2 * BANDWIDTH  # band row of the main diagonal
 
 
-def _band_flat(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
-    """Flat indices of a[rows, cols] in (BAND_ROWS, d) band storage."""
-    return (DIAG_ROW + rows - cols) * d + cols
+def _band_indices(n: int) -> np.ndarray:
+    """Scatter indices of the stencils' (11, 11) blocks into the raveled band storage.
 
-
-def _dof_indices(n: int) -> dict[str, np.ndarray]:
-    """Scatter indices of the per-element blocks, stretch edges first.
-
-    "grad" indexes the (4N-1,) DOF vector; "band" indexes the raveled
-    (BAND_ROWS, 4N-1) band storage, a[i, j] -> ab[DIAG_ROW + i - j, j].
+    a[i, j] -> ab[DIAG_ROW + i - j, j] in the (BAND_ROWS, 4N-1) array.
     """
     cached = _INDEX_CACHE.get(n)
-    if cached is not None:
-        return cached
-    d = 4 * n - 1
-    stretch_nodes = np.arange(n - 1)
-    stretch = np.empty((n - 1, 6), dtype=np.intp)
-    stretch[:, 0:3] = 4 * stretch_nodes[:, None] + np.arange(3)
-    stretch[:, 3:6] = 4 * (stretch_nodes + 1)[:, None] + np.arange(3)
-    stencil = 4 * np.arange(n - 2)[:, None] + np.arange(11)
-    cached = {
-        "grad": np.concatenate([stretch.ravel(), stencil.ravel()]),
-        "band": np.concatenate([
-            _band_flat(stretch[:, :, None], stretch[:, None, :], d).ravel(),
-            _band_flat(stencil[:, :, None], stencil[:, None, :], d).ravel(),
-        ]),
-    }
-    _INDEX_CACHE[n] = cached
+    if cached is None:
+        d = 4 * n - 1
+        stencil = 4 * np.arange(n - 2)[:, None] + np.arange(11)
+        rows, cols = stencil[:, :, None], stencil[:, None, :]
+        cached = ((DIAG_ROW + rows - cols) * d + cols).ravel()
+        _INDEX_CACHE[n] = cached
     return cached

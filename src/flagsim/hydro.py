@@ -21,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .rod import cross_rows
+from .rod import cross_rows, skew_rows
+
+_DGESV = get_lapack_funcs(("gesv",), (np.zeros((1, 1)),))[0]
+_EYE3 = np.eye(3)
 
 
 class HydroSolveError(RuntimeError):
@@ -101,19 +104,22 @@ def assemble_mobility(positions: np.ndarray, tangents: np.ndarray,
 
 def _head_distances(r_h: np.ndarray) -> np.ndarray:
     """|r_h| per node; a node at the head center has no sphere flow."""
-    r = np.linalg.norm(r_h, axis=1)
-    if np.any(r <= 0.0):
+    r = np.sqrt((r_h * r_h).sum(axis=1))
+    if r.min() <= 0.0:
         raise ValueError("flagellar node coincides with the head center")
     return r
 
 
 def _translating_sphere_flow(r_h: np.ndarray, r: np.ndarray, head_velocity: np.ndarray,
                              b: float) -> np.ndarray:
-    """Flow at r_h (distances r) of a sphere of radius b translating at head_velocity."""
-    ru = r_h @ head_velocity
-    r1 = r[:, None]
-    return 0.75 * b * (head_velocity[None, :] / r1 + r_h * (ru / r ** 3)[:, None]) \
-        + 0.25 * b ** 3 * (head_velocity[None, :] / r1 ** 3 - 3.0 * r_h * (ru / r ** 5)[:, None])
+    """Flow at r_h (distances r) of a sphere of radius b translating at head_velocity.
+
+    With beta = b/r: (3 beta/4 + beta^3/4) U + (3/4)(beta - beta^3)(r.U/r^2) r.
+    """
+    beta = b / r
+    beta3 = beta * beta * beta
+    along = 0.75 * (beta - beta3) * (r_h @ head_velocity) / (r * r)
+    return (0.75 * beta + 0.25 * beta3)[:, None] * head_velocity + along[:, None] * r_h
 
 
 def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
@@ -133,14 +139,19 @@ def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
 
 def head_force(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
                viscosity: float, head_velocity: np.ndarray) -> np.ndarray:
-    """Force on the head: filament-flow induction plus Stokes drag."""
-    r = _head_distances(r_h)
-    b = head_radius
-    c1 = -1.5 * b / r + 0.5 * b ** 3 / r ** 3
-    c2 = (-0.75 * b / r + 0.75 * b ** 3 / r ** 3) / r ** 2
-    fr = np.sum(forces * r_h, axis=1)
-    force = np.sum(c1[:, None] * forces + (c2 * fr)[:, None] * r_h, axis=0)
-    force += -6.0 * math.pi * viscosity * b * head_velocity
+    """Force on the head: filament-flow induction plus Stokes drag.
+
+    No node of r_h may sit at the head center; solve_forces_and_head_spin,
+    which gives the forces, checks that, so the distances are not checked
+    again here.
+    """
+    r2 = (r_h * r_h).sum(axis=1)
+    beta = head_radius / np.sqrt(r2)
+    beta3 = beta * beta * beta
+    # -(3/2) beta + beta^3/2 on f, (3/4)(beta^3 - beta)(f.r/r^2) on r
+    along = 0.75 * (beta3 - beta) * (forces * r_h).sum(axis=1) / r2
+    force = (0.5 * beta3 - 1.5 * beta) @ forces + along @ r_h
+    force -= 6.0 * math.pi * viscosity * head_radius * head_velocity
     return force
 
 
@@ -214,7 +225,9 @@ def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
     once, to the stacked (3n, 4) right-hand side [u_rel | rotational flow]:
     the node flow of the translating head relative to the nodes, then the
     flow of a unit head spin about each axis. A solve reads the
-    eigenvector matrix twice.
+    eigenvector matrix twice. One product with the (3, 3n) torque map then
+    gives the balance's right-hand side and its coupling, and LAPACK gesv
+    solves it; HydroSolveError when that system is singular.
     """
     r = _head_distances(r_h)
     b = head_radius
@@ -222,21 +235,22 @@ def solve_forces_and_head_spin(spectrum: tuple[np.ndarray, np.ndarray],
     ratio = b ** 3 / r ** 3
     vecs, inv = spectrum
 
-    cross_r = cross_rows(np.eye(3), r_h[:, None, :])  # row i is e_i x r: cross_r @ f = r x f
+    skew = skew_rows(r_h)  # [r]x f = r x f
     flows = np.empty((3 * n, 4))
-    flows[:, 0] = (_translating_sphere_flow(r_h, r, head_velocity, b) - node_velocities).ravel()
-    flows[:, 1:] = (-ratio[:, None, None] * cross_r).reshape(3 * n, 3)  # (b^3/r^3) Omega x r
+    by_node = flows.reshape(n, 3, 4)
+    np.subtract(_translating_sphere_flow(r_h, r, head_velocity, b), node_velocities,
+                out=by_node[:, :, 0])
+    np.multiply(skew, -ratio[:, None, None], out=by_node[:, :, 1:])  # (b^3/r^3) Omega x r
     coeffs = vecs.T @ flows
     coeffs *= inv[:, None]
-    stacked = (vecs @ coeffs).reshape(n, 3, 4)
-    f_base = stacked[:, :, 0]
-    f_rot = stacked[:, :, 1:]
+    stacked = vecs @ coeffs
 
-    # Torque-balance map f -> sum (1 - b^3/r^3) r x f.
-    weighted_cross = (1.0 - ratio)[:, None, None] * cross_r
+    # Torque-balance map f -> sum (1 - b^3/r^3) r x f, as a (3, 3n) matrix
+    # ([r]x is antisymmetric, so its transpose carries the minus sign).
+    torque = (((ratio - 1.0)[:, None, None] * skew).reshape(3 * n, 3).T @ stacked)
     drag = 8.0 * math.pi * viscosity * b ** 3
-    coupling = np.einsum("nab,nbc->ac", weighted_cross, f_rot)
-    rhs = np.einsum("nab,nb->a", weighted_cross, f_base)
-    spin = np.linalg.solve(drag * np.eye(3) - coupling, rhs)
-    forces = f_base + f_rot @ spin
-    return forces, spin
+    _, _, spin, info = _DGESV(drag * _EYE3 - torque[:, 1:], torque[:, 0])
+    if info != 0:
+        raise HydroSolveError(f"head-spin torque balance is singular (dgesv info={info})")
+    forces = stacked[:, 0] + stacked[:, 1:] @ spin
+    return forces.reshape(n, 3), spin

@@ -47,8 +47,8 @@ class RodState:
     @property
     def tangents(self) -> np.ndarray:
         e = self.edges
-        lengths = np.linalg.norm(e, axis=1)
-        if np.any(lengths == 0.0):
+        lengths = np.sqrt((e * e).sum(axis=1))
+        if (lengths == 0.0).any():
             raise DegenerateEdgeError("zero-length edge has no tangent")
         return e / lengths[:, None]
 
@@ -103,16 +103,26 @@ def unpack_dofs(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Levi-Civita symbol as a (9, 3) matrix: (a x b)_i = sum_jk eps[3j + k, i] a_j b_k.
 _LEVI_CIVITA = np.zeros((9, 3))
 _LEVI_CIVITA[[5, 6, 1, 7, 2, 3], [0, 1, 2, 0, 1, 2]] = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
+# The same symbol as a (3, 9) matrix: a @ _SKEW is [a]x, raveled, where [a]x b = a x b.
+_SKEW = _LEVI_CIVITA.reshape(3, 3, 3).transpose(0, 2, 1).reshape(3, 9)
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product over the last axis, broadcasting; cheaper than np.cross on small arrays.
 
-    One outer product and one matmul; every output entry is a_j b_k - a_k b_j,
+    One outer product and one 2-D matmul; every output entry is a_j b_k - a_k b_j,
     rounded exactly as written out by hand.
     """
     outer = a[..., :, None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (9,)) @ _LEVI_CIVITA
+    return (outer.reshape(-1, 9) @ _LEVI_CIVITA).reshape(outer.shape[:-1])
+
+
+def skew_rows(a: np.ndarray) -> np.ndarray:
+    """The cross-product matrices [a]x of (..., 3) vectors a, as (..., 3, 3): [a]x b = a x b.
+
+    Every entry is 0 or +-a_j, exactly.
+    """
+    return (a.reshape(-1, 3) @ _SKEW).reshape(a.shape + (3,))
 
 
 # Below this, 1 + t_from . t_to is lost to rounding (its absolute error is
@@ -120,56 +130,89 @@ def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 ANTIPARALLEL_TOL = 1e-10
 
 
-def parallel_transport(vectors: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
-    """Minimal rotation taking each unit t_from onto unit t_to, applied to vectors.
+def transport_rotations(t_from: np.ndarray, t_to: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The minimal rotations taking each unit t_from onto unit t_to.
 
-    Arguments are (..., 3). With b = t_from x t_to and c = t_from . t_to the
-    rotation is Rodrigues' v c + b x v + b (b . v) / (1 + c), so parallel
-    tangents leave v unchanged. Antiparallel tangents (an edge reversed in
-    one step, or folded back onto its neighbour) have no minimal rotation:
-    DegenerateEdgeError when 1 + c <= ANTIPARALLEL_TOL.
+    Arguments are (..., 3). With c = t_from . t_to, chi = 1 + c and
+    b = t_from x t_to, the rotation is Rodrigues' c I + [b]x + b b^T / chi,
+    so parallel tangents give the identity. Antiparallel tangents (an edge
+    reversed in one step, or folded back onto its neighbour) have no
+    minimal rotation: DegenerateEdgeError when chi <= ANTIPARALLEL_TOL.
+
+    Returns (rotations (..., 3, 3), chi, b).
     """
     c = (t_from * t_to).sum(axis=-1)
     chi = 1.0 + c
-    if not np.all(chi > ANTIPARALLEL_TOL):
+    # NaN fails the comparison too
+    if not chi.min() > ANTIPARALLEL_TOL:
         raise DegenerateEdgeError(
             f"antiparallel tangents have no parallel transport (1 + t0.t1 = {np.min(chi):.3e})"
         )
     b = cross_rows(t_from, t_to)
-    bv = (b * vectors).sum(axis=-1) / chi
-    return c[..., None] * vectors + cross_rows(b, vectors) + bv[..., None] * b
+    rotations = skew_rows(b)
+    rotations.reshape(-1, 9)[:, ::4] += c.reshape(-1, 1)
+    rotations += b[..., :, None] * (b / chi[..., None])[..., None, :]
+    return rotations, chi, b
+
+
+def parallel_transport(vectors: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
+    """Minimal rotation taking each unit t_from onto unit t_to, applied to vectors.
+
+    Arguments are (..., 3). DegenerateEdgeError for antiparallel tangents
+    (see transport_rotations).
+    """
+    return (transport_rotations(t_from, t_to)[0] @ vectors[..., None])[..., 0]
+
+
+_QUARTER_TURN = np.array([[1.0], [-1.0]])  # (d1, d2)[::-1] * _QUARTER_TURN = (d2, -d1)
+
+
+def rotate_directors(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Rotate (..., 2, 3) director pairs (d1, d2) by the angles thetas about their tangents.
+
+    Returns the material pairs (m1, m2) = (c d1 + s d2, c d2 - s d1).
+    """
+    c = np.cos(thetas)[..., None, None]
+    s = np.sin(thetas)[..., None, None]
+    return c * frames + s * (frames[..., ::-1, :] * _QUARTER_TURN)
 
 
 def material_frames(
     ref_d1: np.ndarray, ref_d2: np.ndarray, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate reference directors by the twist angles about the tangents."""
-    c = np.cos(thetas)[:, None]
-    s = np.sin(thetas)[:, None]
-    m1 = c * ref_d1 + s * ref_d2
-    m2 = -s * ref_d1 + c * ref_d2
-    return m1, m2
+    m = rotate_directors(np.stack((ref_d1, ref_d2), axis=-2), thetas)
+    return m[..., 0, :], m[..., 1, :]
 
 
-def update_reference_twist(
-    ref_d1: np.ndarray, tangents: np.ndarray, ref_twist_old: np.ndarray
-) -> np.ndarray:
+def twist_turns(ref_twist: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2) matrices that update_reference_twist applies for a stored twist.
+
+    They depend only on the committed twist, so a step builds them once for
+    all of its evaluations.
+    """
+    c = np.cos(ref_twist)
+    s = np.sin(ref_twist)
+    turns = np.empty(ref_twist.shape + (2, 2))
+    turns[..., 0, 0] = turns[..., 1, 1] = -s
+    turns[..., 0, 1] = -c
+    turns[..., 1, 0] = c
+    return turns
+
+
+def update_reference_twist(d1: np.ndarray, rotations: np.ndarray, frames: np.ndarray,
+                           turns: np.ndarray, ref_twist_old: np.ndarray) -> np.ndarray:
     """Track the twist of the reference frame along the centerline.
 
-    For each internal node, transports d1 of the previous edge onto the next
-    edge's tangent t, rotates it by the stored twist about t, and adds the
-    signed angle from there to d1 of the next edge. The rotation is folded
-    into the cosine and sine of that angle, which one arctan2 turns into the
-    angle.
+    For each internal node, rotations (S, 3, 3) carries d1 (S, 3) of the
+    previous edge onto the next edge's tangent t, whose reference directors
+    (d1, d2) are frames (S, 2, 3); turns = twist_turns(ref_twist_old). The
+    projections of the carried director on (d1, d2) are the cosine and minus
+    the sine of the angle from it to d1 about t; turns rotates that angle by
+    the stored twist, and one arctan2 adds the result to the stored twist.
     """
-    t = tangents[1:]
-    u = parallel_transport(ref_d1[:-1], tangents[:-1], t)
-    v = ref_d1[1:]
-    cos_uv = (u * v).sum(axis=1)
-    sin_uv = (t * cross_rows(u, v)).sum(axis=1)
-    c = np.cos(ref_twist_old)
-    s = np.sin(ref_twist_old)
-    return ref_twist_old + np.arctan2(c * sin_uv - s * cos_uv, c * cos_uv + s * sin_uv)
+    yx = turns @ (frames @ (rotations @ d1[..., None]))
+    return ref_twist_old + np.arctan2(yx[..., 0, 0], yx[..., 1, 0])
 
 
 RAMP_PHASE = math.pi  # radial ramp from the axis onto the helix, in phase angle
@@ -207,6 +250,8 @@ def _next_phase(params: PhysicalParameters, phi: float) -> float:
     lo = 0.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the bracket is two adjacent floats: halving moves it no more
         if chord(mid) < target:
             lo = mid
         else:

@@ -32,8 +32,10 @@ from scipy.linalg import get_lapack_funcs
 
 from . import hydro
 from .elastic import (
+    BAND_ROWS,
     BANDWIDTH,
     DIAG_ROW,
+    CommittedFrames,
     DegenerateEdgeError,
     ElasticStiffnesses,
     RestConfiguration,
@@ -184,7 +186,7 @@ def external_force(state: RodState, params: PhysicalParameters,
     # spins the head about a transverse axis against its rotational Stokes
     # drag. Realized as a drag force pair on the relative perpendicular
     # velocity of the base edge (torque 8 pi mu b^3 * W_perp over the arm).
-    e0 = pos[1] - pos[0]
+    e0 = r_h[0]
     e0_len2 = float(np.dot(e0, e0))
     v_rel = node_vel[1] - node_vel[0]
     v_perp = v_rel - (np.dot(v_rel, e0) / e0_len2) * e0
@@ -194,61 +196,71 @@ def external_force(state: RodState, params: PhysicalParameters,
     return f_ext
 
 
+_PIN_INDEX_CACHE: dict[int, np.ndarray] = {}
+
+
+def _pinned_entries(d: int) -> np.ndarray:
+    """Flat band-storage indices of row and column 3 of a (d, d) band matrix, diagonal last."""
+    cached = _PIN_INDEX_CACHE.get(d)
+    if cached is None:
+        cols = np.arange(min(3 + BANDWIDTH + 1, d))  # a[3, j], |3 - j| <= BANDWIDTH
+        cached = np.concatenate([(DIAG_ROW + 3 - cols) * d + cols,
+                                 np.arange(BAND_ROWS) * d + 3, [DIAG_ROW * d + 3]])
+        _PIN_INDEX_CACHE[d] = cached
+    return cached
+
+
 def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
          params: PhysicalParameters, omega: float, controls: StepControls,
          spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[RodState, StepDiagnostics]:
     """Advance the system one time step under actuation rate omega [rad/s].
 
     spectrum is the clamped mobility spectrum, passed on to external_force.
+    What depends only on the committed state (its frames, the explicit
+    drift dt v_old, the hydrodynamic force) is computed once here and shared
+    by every force evaluation of the Newton solve.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     dt = controls.time_step if controls.time_step is not None else params.time_step
-    n = params.node_count
     q_old = state.dof_vector()
-    v_old = state.velocities
-    tangents = state.tangents  # of the start configuration: read once, not per force_eval
-    mass = rest.mass
+    drift = dt * state.velocities
+    committed = CommittedFrames.from_state(state)
+    inertia = rest.mass / dt ** 2
 
     f_ext = external_force(state, params, spectrum)
 
-    free = np.ones(4 * n - 1, dtype=bool)
-    free[3] = False  # theta^0 carries the prescribed rotation
-
-    q_new = q_old + dt * v_old
+    q_new = q_old + drift
     q_new[3] = q_old[3] + omega * dt
-
-    inertia = mass / dt ** 2
-    dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
-    # Band positions of row 3 (a[3, j], |3 - j| <= BANDWIDTH) for the pin.
-    row3_cols = np.arange(min(3 + BANDWIDTH + 1, 4 * n - 1))
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
-        ev = evaluate_elastics(pos, th, state.ref_d1, tangents, state.ref_twist, rest, stiff)
-        residual = inertia * (q - q_old - dt * v_old) - ev.force - f_ext
-        return ev, residual, np.linalg.norm(residual[free])
+        ev = evaluate_elastics(pos, th, committed, rest, stiff)
+        residual = inertia * (q - q_old - drift) - ev.force - f_ext
+        residual[3] = 0.0  # theta^0 carries the prescribed rotation: no balance
+        return ev, residual, math.sqrt(residual @ residual)
 
     diag = StepDiagnostics()
     converged = False
     ev, residual, rnorm = force_eval(q_new)
     # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
     # force-free equilibrium converges immediately.
-    scale = max(np.linalg.norm(f_ext), np.linalg.norm(ev.force),
+    scale = max(math.sqrt(f_ext @ f_ext), math.sqrt(ev.force @ ev.force),
                 1e-6 * stiff.stretching)
+    pinned = _pinned_entries(q_old.shape[0])
+    dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
     for it in range(controls.max_newton_iters):
         if rnorm <= controls.newton_tol * scale:
             converged = True
             break
-        jac = -jacobian_from_eval(ev, rest, stiff)
-        jac[DIAG_ROW] += inertia
-        # Pin the constrained twist DOF: unit row/column, zero residual.
-        jac[DIAG_ROW + 3 - row3_cols, row3_cols] = 0.0
-        jac[:, 3] = 0.0
+        # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
+        # LU), so its solution is the Newton step negated: q + alpha dq.
+        jac = jacobian_from_eval(ev, rest, stiff)
+        jac[DIAG_ROW] -= inertia
+        # Pin the constrained twist DOF: unit row/column; its residual is 0.
+        jac.flat[pinned] = 0.0
         jac[DIAG_ROW, 3] = 1.0
-        rhs = residual.copy()
-        rhs[3] = 0.0
-        _, _, dq, info = dgbsv(BANDWIDTH, BANDWIDTH, jac, rhs, overwrite_ab=1, overwrite_b=1)
+        _, _, dq, info = dgbsv(BANDWIDTH, BANDWIDTH, jac, residual, overwrite_ab=1, overwrite_b=1)
         if info != 0:
             raise NewtonDivergenceError(f"singular Newton system (dgbsv info={info})", diag)
 
@@ -256,7 +268,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
         alpha = 1.0
         best = None
         for _ in range(10):
-            q_try = q_new - alpha * dq
+            q_try = q_new + alpha * dq
             q_try[3] = q_new[3]
             try:
                 trial = force_eval(q_try)

@@ -8,7 +8,13 @@ from flagsim import (
     desk_parameters,
     paper_parameters,
 )
-from flagsim.elastic import BANDWIDTH, DIAG_ROW, evaluate_elastics, jacobian_from_eval
+from flagsim.elastic import (
+    BANDWIDTH,
+    DIAG_ROW,
+    CommittedFrames,
+    evaluate_elastics,
+    jacobian_from_eval,
+)
 from flagsim.geometry import SteeringDatapoint
 from flagsim.rod import unpack_dofs
 
@@ -44,8 +50,7 @@ def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale
     rng = np.random.default_rng(seed)
     positions = state.positions + pos_scale * rng.standard_normal(state.positions.shape)
     thetas = state.thetas + theta_scale * rng.standard_normal(state.thetas.shape)
-    ev = evaluate_elastics(positions, thetas, state.ref_d1, state.tangents,
-                           state.ref_twist, rest, stiff)
+    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
     out = state.copy()
     out.positions = positions
     out.thetas = thetas
@@ -58,8 +63,7 @@ def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale
 def elastics_at(state, rest, stiff, q=None):
     """evaluate_elastics from a committed state's frames, at its own DOFs or at q."""
     positions, thetas = (state.positions, state.thetas) if q is None else unpack_dofs(q)
-    return evaluate_elastics(positions, thetas, state.ref_d1, state.tangents,
-                             state.ref_twist, rest, stiff)
+    return evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
 
 
 def dense_jacobian(state, rest, stiff):

@@ -9,6 +9,12 @@ writes, next to this script:
   produced them. "committed" is conftest.committed_perturbation(seed=1)
   evaluated on its own frames; "twisted" adds a further twist perturbation
   to its thetas, so every node carries a twist moment (w_t != 0).
+- elastic_moved_n10.npz: the same outputs, plus the transported frames
+  d1 and reference twist, at a candidate configuration displaced from
+  the committed frames of jacobian_n10's "committed" state: positions
+  moved by 2e-4 m and thetas by 0.2 rad (normal, seed 3), so the
+  parallel transports and the reference-twist update are not the
+  identity.
 - pulse_tiny.npz: head and node-1 samples of the tiny rod (desk preset,
   N=16, dt=5 ms) on the 0.5 s grid for 3 s: 1 s at 3 rpm, a 1 s pulse at
   15 rpm, then 3 rpm again.
@@ -27,7 +33,9 @@ writes, next to this script:
   residuals (90 rows are held out) outnumber the 331 parameters.
 
 jacobian_n10.npz and pulse_tiny.npz were recorded at commit e5b6400, the
-last revision with the entry-by-entry bend/twist Hessian; training.npz at
+last revision with the entry-by-entry bend/twist Hessian;
+elastic_moved_n10.npz at commit f98e22a, the last revision that
+transported the frames and updated the reference twist in two passes; training.npz at
 commit 35e3801, the last revision that solved each damped Gauss-Newton
 step with np.linalg.solve on the parameter-space matrix; paper_cruise.npz
 at commit a74f3fa, the last revision that decomposed the mobility with
@@ -60,7 +68,7 @@ from flagsim import (  # noqa: E402
     paper_parameters,
     stepper,
 )
-from flagsim.elastic import evaluate_elastics, jacobian_from_eval  # noqa: E402
+from flagsim.elastic import CommittedFrames, evaluate_elastics, jacobian_from_eval  # noqa: E402
 from flagsim.learning import (  # noqa: E402
     TrainControls,
     dataset_arrays,
@@ -91,14 +99,38 @@ def record_jacobians() -> dict[str, np.ndarray]:
         "positions": state.positions,
     }
     for name, thetas in (("committed", state.thetas), ("twisted", twisted)):
-        ev = evaluate_elastics(state.positions, thetas, state.ref_d1, state.tangents,
-                               state.ref_twist, rest, stiff)
+        ev = evaluate_elastics(state.positions, thetas, CommittedFrames.from_state(state),
+                               rest, stiff)
         jac = jacobian_from_eval(ev, rest, stiff)
         out[f"{name}_thetas"] = thetas
         out[f"{name}_force"] = ev.force
         out[f"{name}_energy"] = np.array(ev.energy)
         out[f"{name}_band"] = jac
     return out
+
+
+def record_moved() -> dict[str, np.ndarray]:
+    params = paper_parameters(node_count=10)
+    built = build_initial_configuration(params)
+    rest = RestConfiguration.from_built_state(params, built)
+    stiff = ElasticStiffnesses.from_parameters(params)
+    state = committed_perturbation(built, rest, stiff, seed=1)
+    rng = np.random.default_rng(3)
+    positions = state.positions + 2e-4 * rng.standard_normal(state.positions.shape)
+    thetas = state.thetas + 0.2 * rng.standard_normal(state.thetas.shape)
+    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
+    return {
+        "ref_d1": state.ref_d1,
+        "tangents": state.tangents,
+        "ref_twist": state.ref_twist,
+        "positions": positions,
+        "thetas": thetas,
+        "force": ev.force,
+        "energy": np.array(ev.energy),
+        "band": jacobian_from_eval(ev, rest, stiff),
+        "d1": ev.d1,
+        "moved_ref_twist": ev.ref_twist,
+    }
 
 
 def record_pulse() -> dict[str, np.ndarray]:
@@ -152,7 +184,8 @@ def record_training() -> dict[str, np.ndarray]:
     return out
 
 
-RECORDERS = {"jacobian_n10": record_jacobians, "pulse_tiny": record_pulse,
+RECORDERS = {"jacobian_n10": record_jacobians, "elastic_moved_n10": record_moved,
+             "pulse_tiny": record_pulse,
              "paper_cruise": record_paper, "fallback_tiny": record_fallback,
              "training": record_training}
 

@@ -29,7 +29,7 @@ from flagsim import (
     hydro,
     stepper,
 )
-from flagsim.elastic import evaluate_elastics, jacobian_from_eval
+from flagsim.elastic import CommittedFrames, evaluate_elastics, jacobian_from_eval
 from flagsim.learning import TrainControls, fit_inverse_maps, train_regressor
 from flagsim.stepper import (
     AngularVelocityProfile,
@@ -55,12 +55,29 @@ def test_elastic_kernel_matches_recorded(case):
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
     stiff = ElasticStiffnesses.from_parameters(params)
-    ev = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], ref["ref_d1"],
-                           ref["tangents"], ref["ref_twist"], rest, stiff)
+    committed = CommittedFrames.of(ref["ref_d1"], ref["tangents"], ref["ref_twist"])
+    ev = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], committed, rest, stiff)
     jac = jacobian_from_eval(ev, rest, stiff)
     assert relative_error(jac, ref[f"{case}_band"]) <= 1e-12
     assert relative_error(ev.force, ref[f"{case}_force"]) <= 1e-12
     assert ev.energy == pytest.approx(float(ref[f"{case}_energy"]), rel=1e-12)
+
+
+def test_elastic_kernel_matches_recorded_off_the_committed_frames():
+    # candidate DOFs displaced from the committed ones, so the edge and
+    # reference-twist transports rotate the frames instead of fixing them
+    ref = np.load(DATA / "elastic_moved_n10.npz")
+    params = paper_parameters(node_count=10)
+    built = build_initial_configuration(params)
+    rest = RestConfiguration.from_built_state(params, built)
+    stiff = ElasticStiffnesses.from_parameters(params)
+    committed = CommittedFrames.of(ref["ref_d1"], ref["tangents"], ref["ref_twist"])
+    ev = evaluate_elastics(ref["positions"], ref["thetas"], committed, rest, stiff)
+    assert relative_error(ev.d1, ref["d1"]) <= 1e-12
+    assert relative_error(ev.ref_twist, ref["moved_ref_twist"]) <= 1e-12
+    assert relative_error(ev.force, ref["force"]) <= 1e-12
+    assert relative_error(jacobian_from_eval(ev, rest, stiff), ref["band"]) <= 1e-12
+    assert ev.energy == pytest.approx(float(ref["energy"]), rel=1e-12)
 
 
 def test_pulse_trajectory_matches_recorded():
