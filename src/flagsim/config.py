@@ -34,11 +34,6 @@ class RunConfig:
         out["seed"] = self.seed
         return out
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
 
 _PHYS_KEYS = {
     "axial_length_m": "axial_length",

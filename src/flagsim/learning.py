@@ -98,11 +98,6 @@ class MLPModel:
                              f"which need {expected}")
         return model
 
-    def save(self, path) -> None:
-        text = json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
-        with open(path, "w") as fh:
-            fh.write(text)
-
     @classmethod
     def load(cls, path) -> "MLPModel":
         with open(path) as fh:
@@ -465,6 +460,8 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     if sample_count(spec.settle_time, dt_obs) - 1 < k:
         raise ValueError(f"settle_time {spec.settle_time} s must cover the k = {k} "
                          f"observation intervals of the before-line ({k * dt_obs} s)")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     controls = controls or StepControls()
 
     datapoints: list = []

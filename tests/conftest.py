@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,11 @@ def desk_built(desk_params):
     rest = RestConfiguration.from_built_state(desk_params, state)
     stiff = ElasticStiffnesses.from_parameters(desk_params)
     return state, rest, stiff
+
+
+def save_json(obj, path):
+    """Write obj.to_json_dict() as the CLI writes its JSON files."""
+    path.write_text(json.dumps(obj.to_json_dict(), indent=1, sort_keys=True) + "\n")
 
 
 def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale=0.1):

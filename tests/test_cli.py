@@ -22,7 +22,7 @@ from flagsim.hydro import HydroSolveError
 from flagsim.learning import MLPModel
 from flagsim.stepper import StepControls
 
-from conftest import brute_polyline_distance
+from conftest import brute_polyline_distance, save_json
 
 
 def tiny_config(tmp_path, duration_scale=1.0):
@@ -39,12 +39,12 @@ def tiny_config(tmp_path, duration_scale=1.0):
 def test_preset_roundtrip(tmp_path):
     cfg = preset("desk")
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    save_json(cfg, path)
     loaded = load_config(path, "desk")
     assert loaded.to_json_dict() == cfg.to_json_dict()
     # serialize -> parse -> serialize is identical text
     path2 = tmp_path / "cfg2.json"
-    loaded.save(path2)
+    save_json(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -288,6 +288,7 @@ def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
 
 
 RAGGED_WAYPOINTS = [[0.1, 0.0, 0.0], [0.2, 0.0]]
+GEN_SPEC = {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 5.0}
 
 
 def write_models(directory):
@@ -297,7 +298,7 @@ def write_models(directory):
                      input_shift=np.zeros(2), input_scale=np.ones(2),
                      output_shift=np.zeros(1), output_scale=np.ones(1))
     for name in ("f_H", "f_L", "f_beta", "f_l"):
-        model.save(directory / f"{name}.json")
+        save_json(model, directory / f"{name}.json")
 
 
 @pytest.mark.parametrize("content, argv", [
@@ -321,11 +322,14 @@ def write_models(directory):
     (None, ["simulate"]),
     (None, ["train", "--dataset", "{input}", "--bogus"]),
     (None, ["train", "--dataset", "{input}", "--joint"]),
+    # rejected before the settle: no simulation and no process starts
+    (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "0"]),
+    (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "-1"]),
 ], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
         "profile-not-increasing", "negative-duration", "eval-ragged-waypoints",
         "control-ragged-waypoints", "trajectory-non-numeric", "trajectory-three-columns",
         "trajectory-header-only", "usage-missing-required", "usage-unknown-flag",
-        "usage-train-joint"])
+        "usage-train-joint", "gen-data-zero-workers", "gen-data-negative-workers"])
 def test_bad_input_is_input_error(tmp_path, capsys, content, argv):
     path = tmp_path / "input"
     if content is not None:

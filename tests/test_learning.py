@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_synthetic_dataset
+from conftest import make_synthetic_dataset, save_json
 from flagsim.learning import (
     MLPModel,
     TrainControls,
@@ -62,8 +62,8 @@ def test_training_determinism(tmp_path):
     r2 = train_regressor(x, y, TrainControls(seed=8, max_epochs=50))
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    r1.model.save(p1)
-    r2.model.save(p2)
+    save_json(r1.model, p1)
+    save_json(r2.model, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -73,7 +73,7 @@ def test_model_save_load_roundtrip(tmp_path):
     y = x[:, 0] - x[:, 1] ** 2
     result = train_regressor(x, y, TrainControls(seed=10, max_epochs=40))
     path = tmp_path / "model.json"
-    result.model.save(path)
+    save_json(result.model, path)
     loaded = MLPModel.load(path)
     probe = rng.uniform(0, 1, size=(30, 2))
     assert np.array_equal(result.model.predict(probe), loaded.predict(probe))
