@@ -57,9 +57,28 @@ the twist term -w_t kb t~^T / 2. The two X/Y rows are the theta-position
 columns and the theta-theta entries. The e_j (e_j x s)^T rows are the
 skew coupling [s]x = 2[g]x + (w_t/chi)([t_e]x + [t_f]x) between the e
 and f sides. The e-e and f-f blocks also carry skew terms, but those
-cancel under the symmetrization and are left out. Every u_k and c_k v_k
-is embedded on the 11 stencil DOFs first, so one batched matmul over
-(S, 15, 11) arrays sums the terms of all S stencils at once.
+cancel under the symmetrization and are left out. The rows whose u_k
+depend on the stencil (the first six and the strain gradients) are
+stacked as u and c_k v_k, (S, 9, 8) arrays, so one batched matmul sums
+them for all S stencils at once; the -K/chi identity rows and the skew
+rows, whose u_k are constant, are added as 3x3 blocks. Each stencil's
+(8, 8) Hessian is then symmetrized, gets its stretch blocks and is
+embedded on its 11 DOFs as E^T H E.
+
+Cost split. The step's kernels run 2-3 times per time step on small rods,
+where their cost is per-call array dispatch, so work is done at the
+coarsest level it allows:
+- once per run: RestConfiguration, including the bend/twist moduli
+  (EI, EI, GJ)/l_vor, and the band scatter indices (_band_indices, per
+  node count);
+- once per step: CommittedFrames, the committed frames the step's
+  evaluations transport from, with the cosine and sine of the committed
+  reference twist;
+- once per evaluation: one set of minimal rotations carries the committed
+  edges onto the candidate ones and each edge onto its neighbour (the
+  second set also gives chi and kb); the pieces the force, the Jacobian
+  and the energy share are cached on the ElasticEval, and the energy is
+  only computed when read.
 """
 
 from __future__ import annotations
@@ -295,7 +314,7 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
     # -(w1 kb.m1 + w2 kb.m2)/2 -+ w_t.
     te, tf = tangents[:-1], tangents[1:]
     t_tilde = (te + tf) / chi[:, None]
-    big_k = w[:, 0] * kappa[:, 0] + w[:, 1] * kappa[:, 1]
+    big_k = (w[:, :2] * kappa).sum(axis=1)
     turned = (frames[:, 0] + frames[:, 1])[:, ::-1] * (_SIGNS / chi[:, None])[:, :, None]
     g = -(w[:, None, :2] @ turned)[:, 0]
     sides = np.concatenate((tf, -te), axis=1).reshape(s, 2, 3)
@@ -306,7 +325,9 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
 
     # Per edge j, the x part of stencil j and the y part of stencil j - 1,
     # both over l_j, plus the stretch gradient EA (l/l0 - 1) t; node i then
-    # gets edge i-1's minus edge i's. The force is minus the gradient.
+    # gets edge i-1's minus edge i's. Edge j's twist angle gets the a part
+    # of stencil j and the b part of stencil j - 1. The force is minus the
+    # gradient.
     stretch = lengths / rest.edge_lengths - 1.0
     tension = stiff.stretching * stretch
     per_edge = np.zeros((n + 1, 3))
@@ -314,13 +335,13 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
     per_edge[2:-1] += grad_x[:, 1]
     per_edge[1:-1] /= lengths[:, None]
     per_edge[1:-1] += tension[:, None] * tangents
-    theta_edge = np.zeros(m)
-    theta_edge[:-1] = grad_theta[:, 0]
-    theta_edge[1:] += grad_theta[:, 1]
     force = np.empty(4 * n)
     by_node = force.reshape(n, 4)
     np.subtract(per_edge[1:], per_edge[:-1], out=by_node[:, :3])
-    np.negative(theta_edge, out=by_node[:-1, 3])
+    theta_force = by_node[:-1, 3]
+    np.negative(grad_theta[:, 0], out=theta_force[:-1])
+    theta_force[-1] = 0.0
+    theta_force[1:] -= grad_theta[:, 1]
 
     cache = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
                  t_tilde=t_tilde, turned=turned, sides=sides, g=g, w=w, big_k=big_k, kb_a=kb_a,

@@ -11,6 +11,13 @@ A mobility refresh uses one (3n, 3n) buffer: assemble_mobility writes the
 operator into it, and clamped_spectrum lets LAPACK overwrite it with the
 eigenvectors. solve_forces_and_head_spin then applies that spectrum to all
 its right-hand sides at once, reading the eigenvectors twice per call.
+
+Cost split: the spectrum is built once per MOBILITY_REFRESH steps (see
+stepper); solve_forces_and_head_spin runs once per step and builds the
+cross-product matrices [r]x of the head offsets once, for both the
+spin-flow columns and the torque map; head_force, called on the solve's
+forces, takes the distances by direct products without checking them
+again. The gesv handle of the 3x3 torque balance is looked up once.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ def assemble_mobility(positions: np.ndarray, tangents: np.ndarray,
 def _head_distances(r_h: np.ndarray) -> np.ndarray:
     """|r_h| per node; a node at the head center has no sphere flow."""
     r = np.sqrt((r_h * r_h).sum(axis=1))
-    if r.min() <= 0.0:
+    if (r <= 0.0).any():
         raise ValueError("flagellar node coincides with the head center")
     return r
 

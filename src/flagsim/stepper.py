@@ -19,6 +19,16 @@ floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum).
 step takes the spectrum from its caller. Integrator keeps one cache of it,
 which the full step and the fallback substeps share, and rebuilds it every
 MOBILITY_REFRESH steps of either size.
+
+Cost split of step. Per run (shared through the arguments or cached per
+rod size): the rest configuration with its moduli and lumped masses, and
+the band positions of the pinned twist DOF. Per step: the committed frames
+(elastic.CommittedFrames), the explicit drift dt v_old, M/dt^2 (dt changes
+with the substep fallback), the hydrodynamic force and the gbsv handle.
+Per force evaluation: the elastic force and the residual, whose pinned
+entry is zeroed so its norm needs no masked copy; per Newton iteration:
+the band Jacobian, solved in place. Nothing else is kept between steps,
+so Integrator.copy forks a run exactly.
 """
 
 from __future__ import annotations
