@@ -125,6 +125,14 @@ def skew_rows(a: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, 3) @ _SKEW).reshape(a.shape + (3,))
 
 
+# (a b^T raveled) @ _DOT_CROSS = [a . b, a x b]
+_DOT_CROSS = np.concatenate((np.eye(3).reshape(9, 1), _LEVI_CIVITA), axis=1)
+# [c, b, (b b^T / chi) raveled] @ _RODRIGUES = c I + [b]x + b b^T / chi, raveled
+_RODRIGUES = np.zeros((13, 9))
+_RODRIGUES[0, ::4] = 1.0
+_RODRIGUES[1:4] = _SKEW
+_RODRIGUES[4:] = np.eye(9)
+
 # Below this, 1 + t_from . t_to is lost to rounding (its absolute error is
 # about 1e-16) and the minimal rotation between the tangents is undefined.
 ANTIPARALLEL_TOL = 1e-10
@@ -141,18 +149,18 @@ def transport_rotations(t_from: np.ndarray, t_to: np.ndarray) -> tuple[np.ndarra
 
     Returns (rotations (..., 3, 3), chi, b).
     """
-    c = (t_from * t_to).sum(axis=-1)
-    chi = 1.0 + c
+    shape = t_from.shape[:-1]
+    c_b = (t_from[..., :, None] * t_to[..., None, :]).reshape(-1, 9) @ _DOT_CROSS
+    chi = 1.0 + c_b[:, 0]
     # NaN fails the comparison too
     if not chi.min() > ANTIPARALLEL_TOL:
         raise DegenerateEdgeError(
             f"antiparallel tangents have no parallel transport (1 + t0.t1 = {np.min(chi):.3e})"
         )
-    b = cross_rows(t_from, t_to)
-    rotations = skew_rows(b)
-    rotations.reshape(-1, 9)[:, ::4] += c.reshape(-1, 1)
-    rotations += b[..., :, None] * (b / chi[..., None])[..., None, :]
-    return rotations, chi, b
+    b = c_b[:, 1:]
+    bb = (b[:, :, None] * (b / chi[:, None])[:, None, :]).reshape(-1, 9)
+    rotations = np.concatenate((c_b, bb), axis=1) @ _RODRIGUES
+    return rotations.reshape(shape + (3, 3)), chi.reshape(shape), b.reshape(shape + (3,))
 
 
 def parallel_transport(vectors: np.ndarray, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
