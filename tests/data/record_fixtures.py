@@ -35,13 +35,13 @@ writes, next to this script:
 jacobian_n10.npz and pulse_tiny.npz were recorded at commit e5b6400, the
 last revision with the entry-by-entry bend/twist Hessian;
 elastic_moved_n10.npz at commit f98e22a, the last revision that
-transported the frames and updated the reference twist in two passes; training.npz at
-commit 35e3801, the last revision that solved each damped Gauss-Newton
-step with np.linalg.solve on the parameter-space matrix; paper_cruise.npz
-at commit a74f3fa, the last revision that decomposed the mobility with
-np.linalg.eigh and applied its spectrum to one right-hand side at a time;
-fallback_tiny.npz at commit b17636b, the last revision that built a new
-spectrum for every substep.
+transported the frames and updated the reference twist in two passes;
+training.npz at commit 35e3801, the last revision that solved each damped
+Gauss-Newton step with np.linalg.solve on the parameter-space matrix;
+paper_cruise.npz at commit a74f3fa, the last revision that decomposed the
+mobility with np.linalg.eigh and applied its spectrum to one right-hand
+side at a time; fallback_tiny.npz at commit b17636b, the last revision
+that built a new spectrum for every substep.
 Re-record only after a deliberate change to the physics or the trainer.
 Name fixtures to record only those:
 
