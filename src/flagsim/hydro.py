@@ -40,9 +40,10 @@ class HydroSolveError(RuntimeError):
     Raised by assemble_mobility when two flagellar nodes sit closer than
     the cutoff delta: the slender-body model needs every Stokeslet pair at
     least delta apart, and the Oseen blocks of a near-coincident pair scale
-    together, so no condition check sees it. stepper.Integrator reports it
-    as SimulationError without a substep retry, since a smaller step does
-    not move the nodes apart.
+    together, so no condition check sees it. clamped_spectrum and
+    solve_forces_and_head_spin raise it when their LAPACK call (dsyevd,
+    gesv) fails. stepper.Integrator reports it as SimulationError without a
+    substep retry, since a smaller step does not move the nodes apart.
     """
 
 
