@@ -1,10 +1,12 @@
 """Command-line surface: simulate, gen-data, train, control, eval.
 
-File formats: JSON for configs/models/logs, CSV for numeric series. Writes
-are atomic (temp file then rename). A numerical failure (SimulationError)
-prints "numerical failure: ..." to stderr, exits 2 and writes no output
-file. Exit codes: 0 success, 1 input error (a usage error included), 2
-numerical failure.
+File formats: JSON for configs/models/logs, CSV for numeric series. A
+trajectory CSV (simulate, control) has one row per observation sample:
+time, head x_0, nodes x_1 and x_2, and omega, the rate applied from that
+sample onwards. Writes are atomic (temp file then rename). A numerical
+failure (SimulationError) prints "numerical failure: ..." to stderr, exits
+2 and writes no output file. Exit codes: 0 success, 1 input error (a usage
+error or a non-finite number included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -127,13 +129,15 @@ def _load_waypoints(path) -> np.ndarray:
         raise ConfigError(f"bad waypoints: {type(exc).__name__}: {exc}") from exc
     if waypoints.ndim != 2 or waypoints.shape[1] != 3 or waypoints.shape[0] < 2:
         raise ConfigError("waypoints file must hold at least two [x, y, z] points")
+    if not np.all(np.isfinite(waypoints)):
+        raise ConfigError("waypoints must be finite")
     return waypoints
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.preset, seed=args.seed)
-    if not args.duration >= 0.0:
-        raise ConfigError(f"--duration must be nonnegative, got {args.duration}")
+    if not 0.0 <= args.duration < math.inf:
+        raise ConfigError(f"--duration must be finite and nonnegative, got {args.duration}")
     profile = _load_profile(args.profile, cfg.control.omega_low_rpm)
     traj = simulate(cfg.physical, profile, args.duration,
                     cfg.control.observation_interval, controls=cfg.solver)
@@ -246,6 +250,9 @@ def _load_maps(models_dir: str) -> tuple[InverseMaps, dict]:
 
 def cmd_control(args) -> int:
     cfg = load_config(args.config, args.preset, seed=args.seed)
+    if not 0.0 <= args.max_duration < math.inf:
+        raise ConfigError(f"--max-duration must be finite and nonnegative, "
+                          f"got {args.max_duration}")
     maps, calib = _load_maps(args.models)
     waypoints = _load_waypoints(args.waypoints)
     control_cfg = cfg.control

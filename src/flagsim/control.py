@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .geometry import GeometryError, polyline_distance
 from .params import PhysicalParameters
-from .stepper import Integrator, StepControls
+from .stepper import HeadTrajectory, Integrator, StepControls
 
 # Unused here (Integrator steps the closed loop), but bench/tracer.py replaces
 # both attributes of this module by name and fails without them.
@@ -275,15 +275,12 @@ class Controller:
 
 
 @dataclass
-class ClosedLoopResult:
-    times: np.ndarray
-    head: np.ndarray
-    node1: np.ndarray
-    node2: np.ndarray
-    omega: np.ndarray
+class ClosedLoopResult(HeadTrajectory):
+    """A closed-loop run's samples, decision log and waypoint passes."""
+
     log: list
-    waypoint_pass_times: list
-    tracking_error: np.ndarray
+    waypoint_pass_times: list   # (waypoint index, time) per pass
+    tracking_error: np.ndarray  # (S,) head distance to the waypoint polyline [m]
 
 
 @dataclass
@@ -334,7 +331,9 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     Tracking error is the distance from the head to the waypoint polyline at
     every observation instant. The robot is stepped by Integrator, the same
     loop as simulate, so it gets the substep fallback, and a solver failure
-    is raised as SimulationError naming the simulated time.
+    is raised as SimulationError naming the simulated time. The samples are
+    the integrator's, each recorded with the rate applied from it onwards,
+    so simulating the recorded rates as a profile replays the run.
     """
     queue = WaypointQueue(points=waypoints)
     if queue.points.shape[0] < 2:
@@ -345,46 +344,32 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     controller = Controller(maps, config)
 
     k = config.history_length
-    state = integrator.state
-    times = [integrator.time]
-    head = [state.positions[0].copy()]
-    node1 = [state.positions[1].copy()]
-    node2 = [state.positions[2].copy()]
-    omegas = [controller.omega_at(0)]
+    samples = integrator.samples
+    w = controller.omega_at(0)
+    integrator.record(w)
     pass_times: list = []
 
     n_obs = int(round(max_duration / dt_obs))
     zero_streak = 0
-    for obs_i in range(n_obs):
-        w = controller.omega_at(obs_i)
+    for obs_i in range(1, n_obs + 1):
+        # Each sample records the rate applied from it onwards: decide()
+        # rewrites only the schedule after the current sample.
         integrator.advance(w, steps_per_obs)
-        state = integrator.state
-        t_now = integrator.time
-        times.append(t_now)
-        head.append(state.positions[0].copy())
-        node1.append(state.positions[1].copy())
-        node2.append(state.positions[2].copy())
+        w_applied, w = w, controller.omega_at(obs_i)
+        integrator.record(w)
+        t_now, x0, x1, x2, _ = samples[-1]
 
         cursor_before = queue.cursor
-        p1, p2 = queue.current_pair(state.positions[0])
+        p1, p2 = queue.current_pair(x0)
         if queue.cursor != cursor_before:
             pass_times.extend([(queue.cursor + i, t_now)
                                for i in range(queue.cursor - cursor_before)])
         history = None
-        if len(head) >= k + 1:
-            history = np.asarray(head[-(k + 1):])
-        inp = ControlInput(
-            time=t_now,
-            head_history=history,
-            x1=state.positions[1].copy(),
-            x2=state.positions[2].copy(),
-            p1=p1,
-            p2=p2,
-            omega=w,
-        )
-        w_next = controller.decide(inp)
-        omegas.append(w_next)
-        if w_next == 0.0:
+        if len(samples) >= k + 1:
+            history = np.array([s[1] for s in samples[-(k + 1):]])
+        inp = ControlInput(time=t_now, head_history=history, x1=x1, x2=x2,
+                           p1=p1, p2=p2, omega=w_applied)
+        if controller.decide(inp) == 0.0:
             zero_streak += 1
             mission_done = queue.remaining() <= 1 or p2 is None
             if mission_done or zero_streak >= 20:
@@ -392,15 +377,6 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
         else:
             zero_streak = 0
 
-    head_arr = np.asarray(head)
-    errors = np.array([polyline_distance(h, queue.points) for h in head_arr])
-    return ClosedLoopResult(
-        times=np.asarray(times),
-        head=head_arr,
-        node1=np.asarray(node1),
-        node2=np.asarray(node2),
-        omega=np.asarray(omegas),
-        log=controller.log,
-        waypoint_pass_times=pass_times,
-        tracking_error=errors,
-    )
+    errors = np.array([polyline_distance(s[1], queue.points) for s in samples])
+    return ClosedLoopResult.from_samples(samples, log=controller.log,
+                                         waypoint_pass_times=pass_times, tracking_error=errors)

@@ -350,10 +350,10 @@ class DatasetSpec:
     seed: int = 0                     # recorded in the metadata; generation draws no random numbers
 
     def __post_init__(self):
-        if self.total_time <= 0.0 or self.settle_time <= 0.0:
-            raise ValueError("total_time and settle_time must be positive")
-        if any(t < 0.0 for t in self.t_high_grid):
-            raise ValueError("pulse durations must be nonnegative")
+        if not (0.0 < self.total_time < math.inf and 0.0 < self.settle_time < math.inf):
+            raise ValueError("total_time and settle_time must be positive and finite")
+        if not all(0.0 <= t < math.inf for t in self.t_high_grid):
+            raise ValueError("pulse durations must be nonnegative and finite")
         if self.segments_per_trajectory < 1:
             raise ValueError("need at least one segment per trajectory")
 
@@ -413,13 +413,14 @@ def extract_segments(traj, spec: DatasetSpec, t_high: float, dt_obs: float,
 
 def measure_cruise(params: PhysicalParameters, omega_low: float,
                    controls: StepControls, settle_time: float, dt_obs: float,
-                   window: float = 40.0, start=None) -> tuple[float, np.ndarray, object]:
+                   window: float = 40.0,
+                   start: Integrator | None = None) -> tuple[float, np.ndarray, object]:
     """Steady below-buckling speed and direction from a calibration run.
 
     The run holds omega_low for settle_time + window from the built state;
     the speed is the head's mean over the window. start continues it from
-    a checkpoint (integrator, samples) of an earlier constant-omega_low run
-    (stepper.simulate), with bit-identical results.
+    the Integrator of an earlier constant-omega_low run, which it advances
+    in place (stepper.simulate), with bit-identical results.
     """
     traj = simulate(params, AngularVelocityProfile.constant(omega_low),
                     settle_time + window, dt_obs, controls=controls, start=start)
@@ -471,14 +472,14 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     owner = grid.index(0.0) if 0.0 in grid else None
     settle = Integrator(params, controls)
     try:
-        settled = settle.observe(AngularVelocityProfile.constant(omega_low),
-                                 sample_count(spec.settle_time, dt_obs), dt_obs)
+        settle.observe(AngularVelocityProfile.constant(omega_low),
+                       sample_count(spec.settle_time, dt_obs), dt_obs)
     except Exception as exc:  # every grid entry shares the settle
-        settled, results = None, [exc] * len(grid)
+        settle, results = None, [exc] * len(grid)
     else:
         # Every fork is taken before the owner advances the settle run.
         forks = [settle if i == owner else settle.copy() for i in range(len(grid))]
-        jobs = [(fork, settled,
+        jobs = [(fork,
                  AngularVelocityProfile.pulse(omega_low, omega_high, spec.settle_time, t_high),
                  spec.total_time, dt_obs)
                 for fork, t_high in zip(forks, grid)]
@@ -501,10 +502,10 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     # unpulsed entry, or the settle when the grid has no 0. After a failed
     # run it starts over from t = 0 and meets the same failure if that lies
     # within its length.
-    if settled is None or (owner is not None and isinstance(results[owner], Exception)):
+    if settle is None or (owner is not None and isinstance(results[owner], Exception)):
         start = None
     else:
-        start = (settle, settled) if owner is None else results[owner]
+        start = settle if owner is None else results[owner][0]
     speed, direction, _ = measure_cruise(params, omega_low, controls,
                                          spec.settle_time, dt_obs, start=start)
     return GeneratedDataset(datapoints=datapoints, rejections=rejections,
@@ -513,10 +514,9 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
 
 def _pulse_job(args):
     """One grid entry from its fork: (advanced integrator, trajectory), or the error."""
-    integrator, settled, profile, total_time, dt_obs = args
+    integrator, profile, total_time, dt_obs = args
     try:
-        traj = simulate(integrator.params, profile, total_time, dt_obs,
-                        start=(integrator, settled))
+        traj = simulate(integrator.params, profile, total_time, dt_obs, start=integrator)
     except Exception as exc:  # logged by the caller per trajectory
         return exc
     return integrator, traj

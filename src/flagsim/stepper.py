@@ -10,9 +10,13 @@ observation grid (simulate and the dataset settle run through it) and
 control.run_closed_loop advances it between controller decisions, so all
 share the mobility-spectrum cache, the substep fallback and the error
 reporting. Integrator.time = steps * dt is the one clock of a run: RodState
-holds the rod and no time. Integrator.copy forks a run exactly, and
-simulate continues a run from such a checkpoint, so runs that share a start
-compute it once. step is one time step and holds no state between calls.
+holds the rod and no time. The integrator also owns the run's samples
+(time, x_0, x_1, x_2 and the rate applied from the sample onwards), which
+every caller records through Integrator.record. An integrator is therefore
+a whole checkpoint: Integrator.copy forks a run exactly, samples included,
+and simulate continues a run from such a checkpoint, so runs that share a
+start compute it once. step is one time step and holds no state between
+calls.
 
 The drag solve goes through the mobility spectrum with its eigenvalues
 floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum).
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -107,6 +111,8 @@ class AngularVelocityProfile:
         w = np.asarray(self.omegas, dtype=float)
         if t.ndim != 1 or t.shape != w.shape or t.size == 0:
             raise ValueError("times and omegas must be equal-length 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+            raise ValueError("breakpoint times and omegas must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("breakpoint times must be strictly increasing")
         object.__setattr__(self, "times", t)
@@ -140,16 +146,12 @@ class HeadTrajectory:
     head: np.ndarray    # (S, 3) x_0
     node1: np.ndarray   # (S, 3) x_1
     node2: np.ndarray   # (S, 3) x_2
-    omega: np.ndarray   # (S,) applied actuation [rad/s]
+    omega: np.ndarray   # (S,) rate applied from this sample onwards [rad/s]
 
-    def first(self, n: int) -> "HeadTrajectory":
-        """The first n samples."""
-        return HeadTrajectory(*(getattr(self, f.name)[:n].copy() for f in fields(self)))
-
-    def extended(self, more: "HeadTrajectory") -> "HeadTrajectory":
-        """These samples followed by more's."""
-        return HeadTrajectory(*(np.concatenate([getattr(self, f.name), getattr(more, f.name)])
-                                for f in fields(self)))
+    @classmethod
+    def from_samples(cls, samples: list, **extra):
+        """The (time, x_0, x_1, x_2, omega) entries of Integrator.samples as columns."""
+        return cls(*map(np.array, zip(*samples)), **extra)
 
 
 def sample_count(duration: float, observation_interval: float) -> int:
@@ -315,19 +317,20 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
 
 
 class Integrator:
-    """The stepping loop every simulation runs: state, cache and fallback.
+    """The stepping loop every simulation runs: state, samples, cache and fallback.
 
     Owns a copy of the state, the rest configuration (built from params
-    when not given), the stiffnesses, the time step and the step count;
-    time is steps * dt, counted from the given or built state. On a step
-    that fails to converge the integrator drops to half (then quarter)
-    substeps and keeps the reduction for a one-second recovery window
-    before trying the full step again. Only a failure at the finest level
-    propagates, as SimulationError. An edge that collapses or reverses
-    (DegenerateEdgeError, e.g. in step's explicit predictor) takes the same
-    retries. A HydroSolveError (e.g. two nodes closer than the cutoff)
-    becomes SimulationError at once, without substep retries. copy() forks
-    the run: the fork and the original advance bit-identically.
+    when not given), the stiffnesses, the time step, the step count and the
+    run's samples; time is steps * dt, counted from the given or built
+    state. On a step that fails to converge the integrator drops to half
+    (then quarter) substeps and keeps the reduction for a one-second
+    recovery window before trying the full step again. Only a failure at
+    the finest level propagates, as SimulationError. An edge that collapses
+    or reverses (DegenerateEdgeError, e.g. in step's explicit predictor)
+    takes the same retries. A HydroSolveError (e.g. two nodes closer than
+    the cutoff) becomes SimulationError at once, without substep retries.
+    copy() forks the run: the fork and the original advance and record
+    bit-identically.
 
     Full steps and substeps share one cached mobility spectrum, rebuilt
     before every MOBILITY_REFRESH-th step of either size. It may date from
@@ -347,6 +350,7 @@ class Integrator:
         self.rest = rest if rest is not None else RestConfiguration.from_built_state(params, built)
         self.stiff = ElasticStiffnesses.from_parameters(params)
         self.steps = 0
+        self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
         self._age = 0  # steps attempted, full or sub; a multiple of MOBILITY_REFRESH rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
@@ -357,12 +361,14 @@ class Integrator:
         return self.steps * self.dt
 
     def copy(self) -> "Integrator":
-        """An exact fork: state, step count, spectrum cache and fallback window.
+        """An exact fork: state, step count, samples, spectrum cache and fallback window.
 
-        params, controls, rest and stiff are read-only and shared.
+        params, controls, rest and stiff are read-only and shared, and so is
+        each sample, which is never changed once recorded.
         """
         fork = copy.copy(self)
         fork.state = self.state.copy()
+        fork.samples = list(self.samples)
         if self._spectrum is not None:
             # order="K": the eigenvectors are F-ordered, and a C-ordered copy
             # would round the drag solve's products differently.
@@ -383,31 +389,31 @@ class Integrator:
         for _ in range(n_steps):
             self._advance_one(omega)
 
+    def record(self, omega: float) -> None:
+        """Append the current state as a sample; omega is the rate applied from it onwards."""
+        x0, x1, x2 = self.state.positions[:3].copy()
+        self.samples.append((self.time, x0, x1, x2, float(omega)))
+
     def observe(self, profile: AngularVelocityProfile, n_samples: int,
                 observation_interval: float) -> HeadTrajectory:
-        """Sample the current state, then one sample every observation interval.
+        """Record samples every observation interval until n_samples exist.
 
-        A sample's time is the integrator's time. omega is read from the
-        profile before every step; a sample's omega is the rate applied from
-        it onwards.
+        Returns the first n_samples. omega is read from the profile before
+        every step and recorded with every sample. The current state is
+        recorded first, in place of its sample when the run has one, so a
+        run continued under a new profile takes the new rate from there on.
+        ValueError if the integrator was advanced past its last sample.
         """
         steps_per_obs = self.steps_per(observation_interval)
-        times = np.empty(n_samples)
-        head = np.empty((n_samples, 3))
-        node1 = np.empty((n_samples, 3))
-        node2 = np.empty((n_samples, 3))
-        omegas = np.empty(n_samples)
-        for i in range(n_samples):
-            if i > 0:
-                for _ in range(steps_per_obs):
-                    self.advance(profile.value_at(self.time))
-            state = self.state
-            times[i] = self.time
-            head[i] = state.positions[0]
-            node1[i] = state.positions[1]
-            node2[i] = state.positions[2]
-            omegas[i] = profile.value_at(self.time)
-        return HeadTrajectory(times=times, head=head, node1=node1, node2=node2, omega=omegas)
+        if (self.samples[-1][0] if self.samples else 0.0) != self.time:
+            raise ValueError("the integrator was advanced past its last sample")
+        del self.samples[-1:]
+        self.record(profile.value_at(self.time))
+        while len(self.samples) < n_samples:
+            for _ in range(steps_per_obs):
+                self.advance(profile.value_at(self.time))
+            self.record(profile.value_at(self.time))
+        return HeadTrajectory.from_samples(self.samples[:n_samples])
 
     def _advance_one(self, omega: float) -> None:
         t = self.time
@@ -449,39 +455,29 @@ def simulate(params: PhysicalParameters, profile: AngularVelocityProfile,
              controls: StepControls | None = None,
              initial_state: RodState | None = None,
              rest: RestConfiguration | None = None,
-             start: tuple[Integrator, HeadTrajectory] | None = None) -> HeadTrajectory:
+             start: Integrator | None = None) -> HeadTrajectory:
     """Run the forward dynamics and sample the head every observation interval.
 
     Deterministic: identical inputs produce bit-identical outputs. The
     steps, the substep fallback and the error reporting are Integrator's;
     omega is read from the profile at the start of every step.
 
-    start continues a run from a checkpoint (integrator, samples so far),
-    where the samples end at the integrator's current time and were taken
-    under a profile that agrees with this one up to that state. The
-    integrator is advanced in place and the call returns the checkpoint's
-    samples plus the new ones, bit-identical to a run of the profile from
-    the first sample; a checkpoint that already reaches duration is cut
-    there. The checkpoint carries its own state and rest configuration, so
-    neither initial_state nor rest may be given with it.
+    start continues a run from a checkpoint: an integrator whose samples
+    reach its current time, taken under a profile that agrees with this
+    one before that time. It is advanced in place (Integrator.observe), and
+    the call returns the run from its first sample, bit-identical to a run
+    of the profile from there; a checkpoint that already reaches duration
+    is cut there. The checkpoint carries its own state and rest
+    configuration, so neither initial_state nor rest may be given with it.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be nonnegative")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative, got {duration}")
     n_samples = sample_count(duration, observation_interval)
     if start is None:
-        integrator = Integrator(params, controls, initial_state, rest)
-        return integrator.observe(profile, n_samples, observation_interval)
-
-    integrator, prefix = start
-    if initial_state is not None or rest is not None:
+        start = Integrator(params, controls, initial_state, rest)
+    elif initial_state is not None or rest is not None:
         raise ValueError("start carries its own state and rest configuration; "
                          "initial_state and rest must not be given with it")
-    if params != integrator.params or (controls is not None and controls != integrator.controls):
+    elif params != start.params or (controls is not None and controls != start.controls):
         raise ValueError("start was run with other parameters or step controls")
-    if prefix.times[-1] != integrator.time:
-        raise ValueError("the checkpoint's samples must end at its integrator's time")
-    done = prefix.times.shape[0] - 1  # the last sample is the current state
-    if n_samples <= done:
-        return prefix.first(n_samples)
-    more = integrator.observe(profile, n_samples - done, observation_interval)
-    return prefix.first(done).extended(more)
+    return start.observe(profile, n_samples, observation_interval)

@@ -276,7 +276,11 @@ def test_gen_data_spec_validation(tmp_path):
     {"t_high_grid_s": [1.0], "settle_time_s": 5.0},
     # k = 10 samples of 0.5 s do not fit before a 4.5 s pulse
     {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 4.5},
-], ids=["negative-settle", "no-total-time", "short-settle"])
+    {"total_time_s": math.inf, "t_high_grid_s": [1.0], "settle_time_s": 5.0},
+    {"total_time_s": 20.0, "t_high_grid_s": [math.nan], "settle_time_s": 5.0},
+    {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": math.inf},
+], ids=["negative-settle", "no-total-time", "short-settle", "infinite-total-time",
+        "nan-pulse", "infinite-settle"])
 def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -288,6 +292,7 @@ def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
 
 
 RAGGED_WAYPOINTS = [[0.1, 0.0, 0.0], [0.2, 0.0]]
+NAN_WAYPOINTS = [[0.1, 0.0, 0.0], [math.nan, 0.0, 0.0]]
 GEN_SPEC = {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 5.0}
 
 
@@ -310,9 +315,26 @@ def write_models(directory):
     ({"breakpoints_rpm": [[1.0, 3.0], [1.0, 15.0]]},
      ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
     (None, ["simulate", "--config", "{config}", "--duration", "-1"]),
+    (None, ["simulate", "--config", "{config}", "--duration", "inf"]),
+    (None, ["simulate", "--config", "{config}", "--duration", "nan"]),
+    ({"breakpoints_rpm": [[0.0, math.nan]]},
+     ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    ({"breakpoints_rpm": [[0.0, 3.0], [0.5, math.inf]]},
+     ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    ({"breakpoints_rpm": [[0.0, 3.0], [math.nan, 15.0]]},
+     ["simulate", "--config", "{config}", "--profile", "{input}", "--duration", "1"]),
+    (None, ["control", "--config", "{config}", "--models", "{models}",
+            "--waypoints", "{waypoints}", "--max-duration", "inf"]),
+    (None, ["control", "--config", "{config}", "--models", "{models}",
+            "--waypoints", "{waypoints}", "--max-duration", "nan"]),
+    (None, ["control", "--config", "{config}", "--models", "{models}",
+            "--waypoints", "{waypoints}", "--max-duration", "-1"]),
     (RAGGED_WAYPOINTS, ["eval", "--trajectory", "{trajectory}", "--waypoints", "{input}"]),
     (RAGGED_WAYPOINTS, ["control", "--config", "{config}", "--models", "{models}",
                         "--waypoints", "{input}"]),
+    (NAN_WAYPOINTS, ["eval", "--trajectory", "{trajectory}", "--waypoints", "{input}"]),
+    (NAN_WAYPOINTS, ["control", "--config", "{config}", "--models", "{models}",
+                     "--waypoints", "{input}"]),
     (TRAJECTORY_HEADER + "\n0,0,0,0,0,0,0,0,0,0,0.3\n0,0,x,0,0,0,0,0,0,0,0.3\n",
      ["eval", "--trajectory", "{input}", "--waypoints", "{waypoints}"]),
     (TRAJECTORY_HEADER + "\n0,0,0\n",
@@ -326,8 +348,11 @@ def write_models(directory):
     (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "0"]),
     (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "-1"]),
 ], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
-        "profile-not-increasing", "negative-duration", "eval-ragged-waypoints",
-        "control-ragged-waypoints", "trajectory-non-numeric", "trajectory-three-columns",
+        "profile-not-increasing", "negative-duration", "infinite-duration", "nan-duration",
+        "profile-nan-rate", "profile-infinite-rate", "profile-nan-time",
+        "control-infinite-duration", "control-nan-duration", "control-negative-duration",
+        "eval-ragged-waypoints", "control-ragged-waypoints", "eval-nan-waypoint",
+        "control-nan-waypoint", "trajectory-non-numeric", "trajectory-three-columns",
         "trajectory-header-only", "usage-missing-required", "usage-unknown-flag",
         "usage-train-joint", "gen-data-zero-workers", "gen-data-negative-workers"])
 def test_bad_input_is_input_error(tmp_path, capsys, content, argv):

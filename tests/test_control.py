@@ -1,10 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import flagsim.stepper
-from flagsim import desk_parameters, hydro
+from flagsim import build_initial_configuration, desk_parameters, hydro
 from flagsim.control import (
     ControlConfig,
     ControlInput,
@@ -14,7 +15,13 @@ from flagsim.control import (
     compute_t_app,
     run_closed_loop,
 )
-from flagsim.stepper import NewtonDivergenceError, SimulationError, StepDiagnostics
+from flagsim.stepper import (
+    AngularVelocityProfile,
+    NewtonDivergenceError,
+    SimulationError,
+    StepDiagnostics,
+    simulate,
+)
 
 from conftest import fallback_sizes, flaky_step
 
@@ -341,3 +348,26 @@ def test_closed_loop_substep_fallback(monkeypatch):
         run_closed_loop(params, LinearMaps(), waypoints, make_config(), max_duration=1.5)
     assert info.value.__cause__ is error
     assert sizes == [None, 0.0025, 0.00125]
+
+
+def test_closed_loop_replays_from_its_omega_column():
+    # Each sample records the rate applied from it onwards, so simulating the
+    # recorded rates as a profile reproduces the closed loop bit for bit,
+    # across the stop after the start-up and into the planned pulse.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    cfg = make_config(startup_time=2.0, history_length=4, cruise_speed=5e-4)
+    pos = build_initial_configuration(params).positions
+    ahead = (pos[0] - pos[-1]) / np.linalg.norm(pos[0] - pos[-1])
+    side = np.cross(ahead, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    waypoints = pos[0] + np.array([0.002 * ahead, 0.006 * ahead + 0.002 * side,
+                                   0.012 * ahead + 0.004 * side])
+    result = run_closed_loop(params, LinearMaps(cruise=5e-4, beta0=20.0), waypoints, cfg,
+                             max_duration=4.0)
+    assert any(r.t_high for r in result.log)
+    assert {0.0, cfg.omega_low, cfg.omega_high} <= set(result.omega)
+
+    replay = simulate(params, AngularVelocityProfile(result.times, result.omega),
+                      result.times[-1], cfg.observation_interval)
+    for f in fields(replay):
+        assert getattr(replay, f.name).tobytes() == getattr(result, f.name).tobytes(), f.name

@@ -98,6 +98,10 @@ def test_simulate_substep_fallback(monkeypatch):
     assert sizes == [None, 0.0025, 0.00125]
 
 
+def _sample_bytes(integrator):
+    return [[np.asarray(v).tobytes() for v in sample] for sample in integrator.samples]
+
+
 def _assert_same_run(a, b):
     assert a.time == b.time
     for f in fields(a.state):
@@ -106,6 +110,7 @@ def _assert_same_run(a, b):
             assert x.tobytes() == y.tobytes(), f.name
         else:
             assert x == y, f.name
+    assert _sample_bytes(a) == _sample_bytes(b)
 
 
 def test_integrator_copy_is_exact(monkeypatch):
@@ -116,13 +121,29 @@ def test_integrator_copy_is_exact(monkeypatch):
 
     original = stepper.Integrator(params)
     original.advance(omega, 13)  # the spectrum cache dates from step 8
+    original.record(omega)
     fork = original.copy()
     assert fork._spectrum is not None and stepper.MOBILITY_REFRESH == 8
     assert not np.shares_memory(fork._spectrum[0], original._spectrum[0])
     for _ in range(20):
         original.advance(omega)
         fork.advance(omega)
+        original.record(omega)
+        fork.record(omega)
         _assert_same_run(original, fork)
+
+    # A fork owns its samples: observing further changes neither the
+    # original's samples nor what the original observes.
+    profile = AngularVelocityProfile.constant(omega)
+    n = len(original.samples)
+    before = original.observe(profile, n, params.time_step)
+    kept = _sample_bytes(original)
+    forked = original.copy().observe(profile, n + 3, params.time_step)
+    assert _sample_bytes(original) == kept
+    again = original.observe(profile, n, params.time_step)
+    for f in fields(before):
+        assert getattr(again, f.name).tobytes() == getattr(before, f.name).tobytes(), f.name
+        assert getattr(forked, f.name)[:n].tobytes() == getattr(before, f.name).tobytes(), f.name
 
     flaky, sizes = flaky_step(step, NewtonDivergenceError("injected", StepDiagnostics()))
     monkeypatch.setattr(stepper, "step", flaky)
@@ -181,21 +202,22 @@ def test_simulate_continues_from_checkpoint():
     integrator = stepper.Integrator(params)
     settled = integrator.observe(AngularVelocityProfile.constant(3 * rpm), 3, 0.25)
     assert settled.omega[-1] == 3 * rpm  # the pulse profile reads high here
-    out = simulate(params, profile, 1.0, 0.25, start=(integrator, settled))
+    out = simulate(params, profile, 1.0, 0.25, start=integrator)
     assert integrator.time == 1.0
-    cut = simulate(params, profile, 0.5, 0.25, start=(integrator, out))
+    cut = simulate(params, profile, 0.5, 0.25, start=integrator)
     for f in fields(fresh):
         assert getattr(out, f.name).tobytes() == getattr(fresh, f.name).tobytes(), f.name
         assert getattr(cut, f.name).tobytes() == getattr(fresh, f.name)[:3].tobytes(), f.name
     assert integrator.time == 1.0
 
     with pytest.raises(ValueError, match="initial_state and rest"):
-        simulate(params, profile, 1.0, 0.25, rest=integrator.rest, start=(integrator, out))
+        simulate(params, profile, 1.0, 0.25, rest=integrator.rest, start=integrator)
     with pytest.raises(ValueError, match="initial_state and rest"):
         simulate(params, profile, 1.0, 0.25, initial_state=integrator.state,
-                 start=(integrator, out))
-    with pytest.raises(ValueError, match="end at"):
-        simulate(params, profile, 1.0, 0.25, start=(integrator, settled))
+                 start=integrator)
+    integrator.advance(3 * rpm)
+    with pytest.raises(ValueError, match="past its last sample"):
+        simulate(params, profile, 1.0, 0.25, start=integrator)
 
 
 def test_sample_times_are_steps_times_dt():
@@ -208,7 +230,7 @@ def test_sample_times_are_steps_times_dt():
     assert np.array_equal(simulate(params, profile, 5.0, 0.5).times, expected)
 
     integrator = stepper.Integrator(params)
-    settled = integrator.observe(profile, 4, 0.5)
-    continued = simulate(params, profile, 5.0, 0.5, start=(integrator, settled))
+    integrator.observe(profile, 4, 0.5)
+    continued = simulate(params, profile, 5.0, 0.5, start=integrator)
     assert np.array_equal(continued.times, expected)
     assert integrator.time == 5.0
