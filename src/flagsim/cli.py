@@ -7,6 +7,10 @@ sample onwards. Writes are atomic (temp file then rename). A numerical
 failure (SimulationError) prints "numerical failure: ..." to stderr, exits
 2 and writes no output file. Exit codes: 0 success, 1 input error (a usage
 error or a non-finite number included), 2 numerical failure.
+
+control's trajectory reads omega 0 for one observation interval after
+start-up: the controller's first plan starts one sample after the start-up
+schedule ends (see control.Controller).
 """
 
 from __future__ import annotations

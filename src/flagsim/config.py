@@ -105,6 +105,7 @@ def load_config(path=None, preset_name: str = "desk", overrides: dict | None = N
     """Assemble a RunConfig from a preset plus an optional JSON file.
 
     File values override preset values key by key; unknown keys are errors.
+    Only preset_name (the CLI's --preset) chooses the preset; a file cannot.
     """
     base = preset(preset_name)
     data = {}
@@ -116,11 +117,9 @@ def load_config(path=None, preset_name: str = "desk", overrides: dict | None = N
             data.setdefault(section, {}).update(vals)
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(data) - {"physical", "solver", "control", "seed", "preset"}
+    unknown = set(data) - {"physical", "solver", "control", "seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    if "preset" in data:
-        base = preset(data["preset"])
 
     phys_kwargs = _parse_section(data.get("physical", {}), _PHYS_KEYS, "physical")
     solver_kwargs = _parse_section(data.get("solver", {}), _SOLVER_KEYS, "solver")

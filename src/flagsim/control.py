@@ -151,6 +151,12 @@ class Controller:
     the last received waypoints (inputs are never erased, only updated).
     Deterministic and replayable: the emitted schedule is a pure function of
     the input stream.
+
+    The start-up schedule holds omega_low over samples 0..n_startup. The
+    decision at sample n_startup is still rejected as "startup" (its time
+    equals startup_time), and the first plan, at n_startup + 1, writes the
+    schedule from n_startup + 2 on. So omega_at(n_startup + 1) is 0: the
+    motor stops for one observation interval after start-up.
     """
 
     def __init__(self, maps: InverseMaps, config: ControlConfig):
@@ -333,7 +339,9 @@ def run_closed_loop(params: PhysicalParameters, maps: InverseMaps,
     loop as simulate, so it gets the substep fallback, and a solver failure
     is raised as SimulationError naming the simulated time. The samples are
     the integrator's, each recorded with the rate applied from it onwards,
-    so simulating the recorded rates as a profile replays the run.
+    so simulating the recorded rates as a profile replays the run. The
+    recorded rate is 0 for the one interval after start-up that Controller
+    leaves unscheduled.
     """
     queue = WaypointQueue(points=waypoints)
     if queue.points.shape[0] < 2:

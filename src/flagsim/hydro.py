@@ -5,7 +5,9 @@ operator built from a local cutoff term acting on the force component
 perpendicular to the node tangent, plus pairwise Oseen-tensor interactions.
 The head contributes a translating/rotating-sphere flow along the filament,
 a force and torque induced by the filament forces, and Stokes drag; its spin
-rate closes the problem through whole-robot torque balance.
+rate closes the problem through whole-robot torque balance. Each formula has
+one copy: solve_forces_and_head_spin carries the sphere flows and the torque
+balance inline, and head_force gives the head's force from the solved forces.
 
 A mobility refresh uses one (3n, 3n) buffer: assemble_mobility writes the
 operator into it, and clamped_spectrum lets LAPACK overwrite it with the
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .rod import cross_rows, skew_rows
+from .rod import skew_rows
 
 _DGESV = get_lapack_funcs(("gesv",), (np.zeros((1, 1)),))[0]
 _EYE3 = np.eye(3)
@@ -130,21 +132,6 @@ def _translating_sphere_flow(r_h: np.ndarray, r: np.ndarray, head_velocity: np.n
     return (0.75 * beta + 0.25 * beta3)[:, None] * head_velocity + along[:, None] * r_h
 
 
-def head_induced_flow(r_h: np.ndarray, head_velocity: np.ndarray,
-                      head_spin: np.ndarray, head_radius: float) -> np.ndarray:
-    """Flow along the filament induced by the moving head.
-
-    r_h: (n, 3) node positions relative to the head center. This is the
-    standard no-slip translating/rotating sphere solution, not the paper's
-    printed form with (b^3/r^3)(r x Omega): that form does not match the
-    sphere's surface velocity U + Omega x r.
-    """
-    r = _head_distances(r_h)
-    b = head_radius
-    rot = (b ** 3 / r ** 3)[:, None] * cross_rows(head_spin, r_h)
-    return rot + _translating_sphere_flow(r_h, r, head_velocity, b)
-
-
 def head_force(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
                viscosity: float, head_velocity: np.ndarray) -> np.ndarray:
     """Force on the head: filament-flow induction plus Stokes drag.
@@ -161,31 +148,6 @@ def head_force(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
     force = (0.5 * beta3 - 1.5 * beta) @ forces + along @ r_h
     force -= 6.0 * math.pi * viscosity * head_radius * head_velocity
     return force
-
-
-def head_torque(forces: np.ndarray, r_h: np.ndarray, head_radius: float,
-                viscosity: float, head_spin: np.ndarray) -> np.ndarray:
-    """Torque on the head: filament-flow induction plus rotational Stokes drag."""
-    r = _head_distances(r_h)
-    b = head_radius
-    torque = -np.sum((b ** 3 / r ** 3)[:, None] * cross_rows(r_h, forces), axis=0)
-    torque += -8.0 * math.pi * viscosity * b ** 3 * head_spin
-    return torque
-
-
-def head_spin_from_torque_balance(forces: np.ndarray, r_h: np.ndarray,
-                                  head_radius: float, viscosity: float) -> np.ndarray:
-    """Head angular velocity that zeroes the net torque on the whole robot.
-
-    Balances the head drag torque against the filament-flow torque on the
-    head and the moment of the filament hydrodynamic forces about the head
-    center: 8 pi mu b^3 Omega = sum (1 - b^3/r^3) r x f.
-    """
-    r = _head_distances(r_h)
-    b = head_radius
-    weight = 1.0 - b ** 3 / r ** 3
-    total = np.sum(weight[:, None] * cross_rows(r_h, forces), axis=0)
-    return total / (8.0 * math.pi * viscosity * b ** 3)
 
 
 def clamped_spectrum(mobility: MobilityOperator, floor_fraction: float,

@@ -56,10 +56,8 @@ class MLPModel:
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Evaluate the network; inputs (n, d_in) -> (n, d_out)."""
         x = (np.atleast_2d(inputs) - self.input_shift) / self.input_scale
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.tanh(x @ w.T + b)
-        x = x @ self.weights[-1].T + self.biases[-1]
-        return x * self.output_scale + self.output_shift
+        y = _forward(x, self.weights, self.biases)[-1]
+        return y * self.output_scale + self.output_shift
 
     def to_json_dict(self) -> dict:
         return {

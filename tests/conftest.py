@@ -92,6 +92,51 @@ def dense_from_band(ab: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sphere_distances(r_h):
+    """|r| per node offset from the head centre; the sphere flows are singular at 0."""
+    r = np.linalg.norm(r_h, axis=1)
+    if (r == 0.0).any():
+        raise ValueError("flagellar node coincides with the head center")
+    return r
+
+
+def head_induced_flow(r_h, head_velocity, head_spin, head_radius):
+    """Oracle: no-slip flow of a sphere of radius b translating at U, spinning at Omega.
+
+    Stokes' textbook solution, written apart from flagsim.hydro:
+    u = (3b/4r)(U + (U.n)n) + (b^3/4r^3)(U - 3(U.n)n) + (b^3/r^3) Omega x r,
+    with n = r/|r|. Its rotation term is the negative of the paper's printed
+    (b^3/r^3)(r x Omega), which does not match the surface velocity U + Omega x r.
+    """
+    r = _sphere_distances(r_h)
+    b = head_radius
+    n = r_h / r[:, None]
+    u_n = (n @ head_velocity)[:, None] * n
+    stokeslet = (3.0 * b / (4.0 * r))[:, None] * (head_velocity + u_n)
+    doublet = (b ** 3 / (4.0 * r ** 3))[:, None] * (head_velocity - 3.0 * u_n)
+    rotlet = (b ** 3 / r ** 3)[:, None] * np.cross(head_spin, r_h)
+    return stokeslet + doublet + rotlet
+
+
+def head_torque(forces, r_h, head_radius, viscosity, head_spin):
+    """Oracle: torque on the head, the filament-flow induction plus -8 pi mu b^3 Omega."""
+    r = _sphere_distances(r_h)
+    b = head_radius
+    induced = -((b ** 3 / r ** 3)[:, None] * np.cross(r_h, forces)).sum(axis=0)
+    return induced - 8.0 * np.pi * viscosity * b ** 3 * head_spin
+
+
+def head_spin_from_torque_balance(forces, r_h, head_radius, viscosity):
+    """Oracle: the head spin that zeroes the whole robot's torque.
+
+    8 pi mu b^3 Omega = sum (1 - b^3/r^3) r x f.
+    """
+    r = _sphere_distances(r_h)
+    b = head_radius
+    moment = ((1.0 - b ** 3 / r ** 3)[:, None] * np.cross(r_h, forces)).sum(axis=0)
+    return moment / (8.0 * np.pi * viscosity * b ** 3)
+
+
 def brute_polyline_distance(points, verts, n_grid):
     """Distance from each point to the nearest of n_grid samples on every segment."""
     t = np.linspace(0, 1, n_grid)[:, None, None]

@@ -347,6 +347,8 @@ def write_models(directory):
     # rejected before the settle: no simulation and no process starts
     (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "0"]),
     (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "-1"]),
+    # the preset is chosen by --preset only
+    ({"preset": "paper"}, ["simulate", "--config", "{input}", "--duration", "1"]),
 ], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
         "profile-not-increasing", "negative-duration", "infinite-duration", "nan-duration",
         "profile-nan-rate", "profile-infinite-rate", "profile-nan-time",
@@ -354,7 +356,8 @@ def write_models(directory):
         "eval-ragged-waypoints", "control-ragged-waypoints", "eval-nan-waypoint",
         "control-nan-waypoint", "trajectory-non-numeric", "trajectory-three-columns",
         "trajectory-header-only", "usage-missing-required", "usage-unknown-flag",
-        "usage-train-joint", "gen-data-zero-workers", "gen-data-negative-workers"])
+        "usage-train-joint", "gen-data-zero-workers", "gen-data-negative-workers",
+        "config-preset-key"])
 def test_bad_input_is_input_error(tmp_path, capsys, content, argv):
     path = tmp_path / "input"
     if content is not None:

@@ -1,11 +1,11 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import flagsim.stepper
-from flagsim import build_initial_configuration, desk_parameters, hydro
+from flagsim import build_initial_configuration, desk_parameters, geometry, hydro
 from flagsim.control import (
     ControlConfig,
     ControlInput,
@@ -227,6 +227,36 @@ def test_turn_schedules_three_phases():
             assert w == cfg.omega_high
         else:
             assert w == cfg.omega_low
+
+
+def test_turn_decided_in_rotated_frame(monkeypatch):
+    # The turn scene a quarter turn about z: the history runs along y, so the
+    # line fit has no x-spread and decide() retries in a frame rotated onto
+    # x. The logged plan must be the unrotated scene's.
+    rotations = []
+    rotation_to_x = geometry.rotation_to_x
+    monkeypatch.setattr(geometry, "rotation_to_x",
+                        lambda d: rotations.append(d) or rotation_to_x(d))
+    cfg = make_config()
+    t = 30.0
+    x0 = np.array([cfg.cruise_speed * t, 0, 0])
+    p1 = x0 + np.array([0.03, 0, 0])
+    p2 = p1 + 0.04 * np.array([math.cos(math.radians(15)),
+                               math.sin(math.radians(15)), 0.0])
+    inp = make_input(t=t, cfg=cfg, p1=p1, p2=p2)
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    turned = replace(inp, head_history=inp.head_history @ quarter.T,
+                     **{k: quarter @ getattr(inp, k) for k in ("x1", "x2", "p1", "p2")})
+    records = []
+    for scene in (inp, turned):
+        ctrl = Controller(LinearMaps(), cfg)
+        ctrl.decide(scene)
+        records.append(ctrl.log[-1])
+    plain, rotated = records
+    assert len(rotations) == 1
+    assert plain.rejection is None and rotated.rejection is None
+    for name in ("h_d", "alpha_d", "beta_d", "l_d", "t_high", "t_app"):
+        assert getattr(rotated, name) == pytest.approx(getattr(plain, name), rel=1e-9, abs=1e-9)
 
 
 def test_replay_determinism():

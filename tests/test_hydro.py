@@ -9,12 +9,11 @@ from flagsim.hydro import (
     assemble_mobility,
     clamped_spectrum,
     head_force,
-    head_induced_flow,
-    head_spin_from_torque_balance,
-    head_torque,
     node_tangents,
     solve_forces_and_head_spin,
 )
+
+from conftest import head_induced_flow, head_spin_from_torque_balance, head_torque
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +270,10 @@ def test_coincident_node_rejected():
     b = 0.01
     with pytest.raises(ValueError):
         head_induced_flow(np.zeros((1, 3)), np.ones(3), np.zeros(3), b)
+    # the solve a step runs rejects it too, before any flow is formed
+    with pytest.raises(ValueError):
+        solve_forces_and_head_spin((np.eye(3), np.ones(3)), np.zeros((1, 3)), np.zeros((1, 3)),
+                                   np.ones(3), b, 2.7)
 
 
 def test_self_consistent_solver_matches_lagged_fixed_point(flagellum):
@@ -330,3 +333,37 @@ def test_stacked_solve_matches_columnwise(flagellum, rest_spectrum):
     forces, spin = solve_forces_and_head_spin((vecs, inv), v_nodes, r_h, v_head, b, mu)
     assert np.linalg.norm(forces - forces_ref) <= 1e-13 * np.linalg.norm(forces_ref)
     assert np.linalg.norm(spin - spin_ref) <= 1e-13 * np.linalg.norm(spin_ref)
+
+
+def test_identity_spectrum_solve_matches_oracles(flagellum):
+    # with an identity mobility the forces are the stacked right-hand side
+    # itself: the oracle's head flow at the returned spin minus the node
+    # velocities, which pins the translating column and the three spin columns
+    params, pos, _ = flagellum
+    b, mu = params.head_radius, params.viscosity
+    r_h = head_offsets(params, pos)
+    rng = np.random.default_rng(11)
+    v_nodes = rng.standard_normal(pos.shape) * 1e-4
+    v_head = rng.standard_normal(3) * 1e-4
+    d = 3 * pos.shape[0]
+    forces, spin = solve_forces_and_head_spin((np.eye(d), np.ones(d)), v_nodes, r_h, v_head, b, mu)
+    expected = head_induced_flow(r_h, v_head, spin, b) - v_nodes
+    assert np.linalg.norm(forces - expected) <= 1e-13 * np.linalg.norm(expected)
+    balance = head_spin_from_torque_balance(forces, r_h, b, mu)
+    assert np.linalg.norm(spin - balance) <= 1e-12 * np.linalg.norm(balance)
+
+
+def test_solve_closes_oracle_torque_on_rest_spectrum(flagellum, rest_spectrum):
+    # the forces and spin a step uses leave no net torque on the robot:
+    # head drag and induced torque cancel the filament forces' moment
+    params, pos, _ = flagellum
+    _, vecs, inv, _ = rest_spectrum
+    b, mu = params.head_radius, params.viscosity
+    r_h = head_offsets(params, pos)
+    rng = np.random.default_rng(12)
+    v_nodes = rng.standard_normal(pos.shape) * 1e-4
+    v_head = rng.standard_normal(3) * 1e-4
+    forces, spin = solve_forces_and_head_spin((vecs, inv), v_nodes, r_h, v_head, b, mu)
+    moment = np.cross(r_h, forces).sum(axis=0)
+    total = head_torque(forces, r_h, b, mu, spin) + moment
+    assert np.linalg.norm(total) <= 1e-12 * np.linalg.norm(moment)

@@ -158,6 +158,41 @@ def test_integrator_copy_is_exact(monkeypatch):
     assert sizes.count(0.0025) == 2 * 2 * 200 - 2 * 7
 
 
+def test_external_force_head_terms():
+    # Beyond the scattered solve and head force, external_force adds only the
+    # mount couple: an equal and opposite pair on the head and node 1, the
+    # node-1 part perpendicular to the base edge e0, whose torque e0 x f is
+    # the head's rotational drag -8 pi mu b^3 (e0 x v_rel)/|e0|^2.
+    params = desk_parameters(node_count=16)
+    state = build_initial_configuration(params)
+    rng = np.random.default_rng(0)
+    state.velocities = 1e-4 * rng.standard_normal(state.velocities.shape)
+    spectrum = stepper.mobility_spectrum(state, params)
+    pos_idx, _ = node_dof_indices(params.node_count)
+    node_vel = state.velocities[pos_idx]
+    r_h = state.positions[1:] - state.positions[0]
+    b, mu = params.head_radius, params.viscosity
+
+    f_flag, _ = hydro.solve_forces_and_head_spin(spectrum, node_vel[1:], r_h, node_vel[0], b, mu)
+    scattered = np.zeros_like(state.velocities)
+    scattered[pos_idx[1:]] = f_flag
+    scattered[0:3] = hydro.head_force(f_flag, r_h, b, mu, node_vel[0])
+    mount = stepper.external_force(state, params, spectrum) - scattered
+
+    outside = np.ones(mount.shape, dtype=bool)
+    outside[0:3] = outside[4:7] = False
+    assert not mount[outside].any()
+    on_head, on_node1 = mount[0:3], mount[4:7]
+    scale = np.linalg.norm(on_node1)
+    assert scale > 0.0
+    assert np.linalg.norm(on_head + on_node1) <= 1e-12 * scale
+    e0 = r_h[0]
+    assert abs(np.dot(on_node1, e0)) <= 1e-12 * scale * np.linalg.norm(e0)
+    expected = -8 * math.pi * mu * b ** 3 * np.cross(e0, node_vel[1] - node_vel[0]) / np.dot(e0, e0)
+    np.testing.assert_allclose(np.cross(e0, on_node1), expected, rtol=1e-12,
+                               atol=1e-12 * np.linalg.norm(expected))
+
+
 def _carry_node5_onto_node6(params, fraction):
     state = build_initial_configuration(params)
     pos_idx, _ = node_dof_indices(params.node_count)
