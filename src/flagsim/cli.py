@@ -8,6 +8,11 @@ failure (SimulationError) prints "numerical failure: ..." to stderr, exits
 2 and writes no output file. Exit codes: 0 success, 1 input error (a usage
 error or a non-finite number included), 2 numerical failure.
 
+Only train takes --seed: it seeds the only random numbers flagsim draws.
+A dataset's _meta.json (read by train) and calibration.json (read by
+control) must hold an object whose cruise_speed_m_s is missing or null (no
+calibration) or a positive finite number.
+
 control's trajectory reads omega 0 for one observation interval after
 start-up: the controller's first plan starts one sample after the start-up
 schedule ends (see control.Controller).
@@ -139,7 +144,7 @@ def _load_waypoints(path) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.preset, seed=args.seed)
+    cfg = load_config(args.config, args.preset)
     if not 0.0 <= args.duration < math.inf:
         raise ConfigError(f"--duration must be finite and nonnegative, got {args.duration}")
     profile = _load_profile(args.profile, cfg.control.omega_low_rpm)
@@ -151,7 +156,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config, args.preset, seed=args.seed)
+    cfg = load_config(args.config, args.preset)
     with open(args.spec) as fh:
         raw = json.load(fh)
     allowed = {"total_time_s", "t_high_grid_s", "settle_time_s",
@@ -160,12 +165,13 @@ def cmd_gen_data(args) -> int:
     if unknown:
         raise ConfigError(f"unknown dataset-spec keys: {sorted(unknown)}")
     try:
+        label = {"seed": int(raw["seed"])} if "seed" in raw else {}
         spec = DatasetSpec(
             total_time=float(raw["total_time_s"]),
             t_high_grid=tuple(float(v) for v in raw["t_high_grid_s"]),
             settle_time=float(raw.get("settle_time_s", cfg.control.startup_time)),
             segments_per_trajectory=int(raw.get("segments_per_trajectory", 8)),
-            seed=int(raw.get("seed", cfg.seed)),
+            **label,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad dataset spec: {type(exc).__name__}: {exc}") from exc
@@ -209,9 +215,7 @@ def cmd_train(args) -> int:
     meta_path = os.path.splitext(args.dataset)[0] + "_meta.json"
     calibration = {}
     if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        calibration["cruise_speed_m_s"] = meta.get("cruise_speed_m_s")
+        calibration["cruise_speed_m_s"] = _read_cruise_speed(meta_path)
     try:
         maps = fit_inverse_maps(points, controls)
     except ValueError as exc:  # an empty, too small or non-finite dataset
@@ -233,7 +237,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_maps(models_dir: str) -> tuple[InverseMaps, dict]:
+def _read_cruise_speed(path: str) -> float | None:
+    """The cruise speed a _meta.json or calibration.json records; None if missing or null."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold an object")
+    speed = data.get("cruise_speed_m_s")
+    if speed is not None and (type(speed) not in (int, float) or not 0.0 < speed < math.inf):
+        raise ConfigError(f"{path}: cruise_speed_m_s must be a positive finite number, "
+                          f"got {speed!r}")
+    return speed
+
+
+def _load_maps(models_dir: str) -> tuple[InverseMaps, float | None]:
+    """The four inverse maps and the calibrated cruise speed, if calibration.json has one."""
     models = {}
     for name in ("f_H", "f_L", "f_beta", "f_l"):
         path = os.path.join(models_dir, f"{name}.json")
@@ -243,25 +261,22 @@ def _load_maps(models_dir: str) -> tuple[InverseMaps, dict]:
             models[name] = MLPModel.load(path)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model file {path}: {type(exc).__name__}: {exc}") from exc
-    calib = {}
     calib_path = os.path.join(models_dir, "calibration.json")
-    if os.path.exists(calib_path):
-        with open(calib_path) as fh:
-            calib = json.load(fh)
+    speed = _read_cruise_speed(calib_path) if os.path.exists(calib_path) else None
     return InverseMaps(models["f_H"], models["f_L"], models["f_beta"],
-                       models["f_l"]), calib
+                       models["f_l"]), speed
 
 
 def cmd_control(args) -> int:
-    cfg = load_config(args.config, args.preset, seed=args.seed)
+    cfg = load_config(args.config, args.preset)
     if not 0.0 <= args.max_duration < math.inf:
         raise ConfigError(f"--max-duration must be finite and nonnegative, "
                           f"got {args.max_duration}")
-    maps, calib = _load_maps(args.models)
+    maps, cruise_speed = _load_maps(args.models)
     waypoints = _load_waypoints(args.waypoints)
     control_cfg = cfg.control
-    if calib.get("cruise_speed_m_s"):
-        control_cfg = replace(control_cfg, cruise_speed=float(calib["cruise_speed_m_s"]))
+    if cruise_speed is not None:
+        control_cfg = replace(control_cfg, cruise_speed=float(cruise_speed))
     result = run_closed_loop(cfg.physical, maps, waypoints, control_cfg,
                              controls=cfg.solver, max_duration=args.max_duration)
     base = os.path.splitext(args.out)[0]
@@ -343,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="JSON config overriding the preset")
         p.add_argument("--preset", default="desk", choices=["desk", "paper"])
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("simulate", help="run the forward dynamics")
     common(p)
@@ -362,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the inverse maps")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the initial weights and the validation split")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("control", help="run the closed-loop waypoint follower")

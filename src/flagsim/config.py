@@ -1,13 +1,16 @@
 """Run configuration: JSON schema, presets, strict parsing.
 
-All values SI except angular rates, which carry an explicit _rpm suffix in
-the file format. Unknown keys are rejected.
+A file holds up to two sections, "physical" and "control" (21 keys). All
+values SI except angular rates, which carry an explicit _rpm suffix in the
+file format. Unknown keys are rejected; an int field takes only a JSON
+integer and a float field only a finite number.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .control import ControlConfig
 from .params import PhysicalParameters, desk_parameters, paper_parameters
@@ -21,18 +24,17 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     physical: PhysicalParameters
-    solver: StepControls
     control: ControlConfig
-    seed: int = 0
+
+    @property
+    def solver(self) -> StepControls:
+        """Always StepControls(): the benchmark's workloads pass it as controls=."""
+        return StepControls()
 
     def to_json_dict(self) -> dict:
-        sections = (("physical", self.physical, _PHYS_KEYS),
-                    ("solver", self.solver, _SOLVER_KEYS),
-                    ("control", self.control, _CONTROL_KEYS))
-        out = {name: {file_key: getattr(obj, attr) for file_key, attr in keymap.items()}
-               for name, obj, keymap in sections}
-        out["seed"] = self.seed
-        return out
+        return {name: {file_key: getattr(obj, attr) for file_key, attr in keymap.items()}
+                for name, obj, keymap in (("physical", self.physical, _PHYS_KEYS),
+                                          ("control", self.control, _CONTROL_KEYS))}
 
 
 _PHYS_KEYS = {
@@ -49,11 +51,6 @@ _PHYS_KEYS = {
     "time_step_s": "time_step",
 }
 
-_SOLVER_KEYS = {
-    "newton_tol": "newton_tol",
-    "max_newton_iters": "max_newton_iters",
-}
-
 _CONTROL_KEYS = {
     "omega_low_rpm": "omega_low_rpm",
     "omega_high_rpm": "omega_high_rpm",
@@ -68,40 +65,37 @@ _CONTROL_KEYS = {
 }
 
 
-def _parse_section(data: dict, keymap: dict, section: str) -> dict:
+def _parse_section(data: dict, cls: type, keymap: dict, section: str) -> dict:
+    """The section's values by field name, each checked against its field's type."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
     unknown = set(data) - set(keymap)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    types = {f.name: f.type for f in fields(cls)}
     out = {}
-    for file_key, attr in keymap.items():
-        if file_key in data:
-            out[attr] = data[file_key]
+    for file_key, value in data.items():
+        attr = keymap[file_key]
+        if types[attr] == "int":
+            if type(value) is not int:
+                raise ConfigError(f"{section}.{file_key} must be an integer, got {value!r}")
+        elif type(value) not in (int, float) or not -math.inf < value < math.inf:
+            raise ConfigError(f"{section}.{file_key} must be a finite number, got {value!r}")
+        out[attr] = value
     return out
 
 
 def preset(name: str) -> RunConfig:
     """Built-in configurations: full-scale 'paper' and CI-scale 'desk'."""
     if name == "paper":
-        return RunConfig(
-            physical=paper_parameters(),
-            solver=StepControls(),
-            control=ControlConfig(startup_time=100.0),
-            seed=0,
-        )
+        return RunConfig(paper_parameters(), ControlConfig(startup_time=100.0))
     if name == "desk":
-        return RunConfig(
-            physical=desk_parameters(),
-            solver=StepControls(),
-            control=ControlConfig(startup_time=60.0),
-            seed=0,
-        )
+        return RunConfig(desk_parameters(), ControlConfig(startup_time=60.0))
     raise ConfigError(f"unknown preset {name!r} (expected 'paper' or 'desk')")
 
 
-def load_config(path=None, preset_name: str = "desk", overrides: dict | None = None,
-                seed: int | None = None) -> RunConfig:
+def load_config(path=None, preset_name: str = "desk",
+                overrides: dict | None = None) -> RunConfig:
     """Assemble a RunConfig from a preset plus an optional JSON file.
 
     File values override preset values key by key; unknown keys are errors.
@@ -117,22 +111,17 @@ def load_config(path=None, preset_name: str = "desk", overrides: dict | None = N
             data.setdefault(section, {}).update(vals)
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(data) - {"physical", "solver", "control", "seed"}
+    unknown = set(data) - {"physical", "control"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
-    phys_kwargs = _parse_section(data.get("physical", {}), _PHYS_KEYS, "physical")
-    solver_kwargs = _parse_section(data.get("solver", {}), _SOLVER_KEYS, "solver")
-    control_kwargs = _parse_section(data.get("control", {}), _CONTROL_KEYS, "control")
+    phys_kwargs = _parse_section(data.get("physical", {}), PhysicalParameters,
+                                 _PHYS_KEYS, "physical")
+    control_kwargs = _parse_section(data.get("control", {}), ControlConfig,
+                                    _CONTROL_KEYS, "control")
     try:
         physical = replace(base.physical, **phys_kwargs)
-        solver = replace(base.solver, **solver_kwargs)
         control = replace(base.control, **control_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    out_seed = base.seed
-    if "seed" in data:
-        out_seed = int(data["seed"])
-    if seed is not None:
-        out_seed = seed
-    return RunConfig(physical=physical, solver=solver, control=control, seed=out_seed)
+    return RunConfig(physical=physical, control=control)

@@ -67,6 +67,8 @@ class ControlConfig:
             raise ValueError("history_length must be at least 3")
         if self.observation_interval <= 0.0 or self.startup_time <= 0.0:
             raise ValueError("intervals must be positive")
+        if not 0.0 < self.cruise_speed < math.inf:
+            raise ValueError(f"cruise_speed must be positive and finite, got {self.cruise_speed}")
 
     @property
     def omega_low(self) -> float:
@@ -209,41 +211,29 @@ class Controller:
             record.rejection = "above-buckling actuation active"
             return
 
-        history = np.asarray(inp.head_history, dtype=float)
-        x0 = history[-1]
-        rotation = None
-        try:
+        def desired_in_frame(history, x1, x2, p1, p2):
             fit = geometry.fit_line(history)
-        except geometry.DegenerateFitError:
-            rotation = geometry.rotation_to_x(history[-1] - history[0])
-            history = history @ rotation.T
+            record.linearity = fit.residual
+            if fit.residual > cfg.linearity_threshold:
+                return None
             x0 = history[-1]
-            fit = geometry.fit_line(history)
+            v = geometry.direction_vector(fit, x0, x1)
+            frame = geometry.body_frame(v, x1, x2)
+            try:
+                p1_hat = geometry.project_p1(v, x0, p1, p2)
+            except geometry.DegeneratePlaneError:
+                # waypoints collinear with the motion: any containing plane
+                # works, so project onto the motion line itself (a straight run)
+                p1_hat = x0 + float(np.dot(p1 - x0, v)) * v
+            return geometry.desired_parameters(x0, p1_hat, p2, frame)
 
-        record.linearity = fit.residual
-        if fit.residual > cfg.linearity_threshold:
+        desired = geometry.in_x_frame(
+            desired_in_frame, np.asarray(inp.head_history, dtype=float),
+            np.asarray(inp.x1, dtype=float), np.asarray(inp.x2, dtype=float),
+            self.pending_p1, self.pending_p2)
+        if desired is None:
             record.rejection = "trajectory not linear"
             return
-
-        x1 = np.asarray(inp.x1, dtype=float)
-        x2 = np.asarray(inp.x2, dtype=float)
-        p1 = self.pending_p1
-        p2 = self.pending_p2
-        if rotation is not None:
-            x1 = rotation @ x1
-            x2 = rotation @ x2
-            p1 = rotation @ p1
-            p2 = rotation @ p2
-
-        v = geometry.direction_vector(fit, x0, x1)
-        frame = geometry.body_frame(v, x1, x2)
-        try:
-            p1_hat = geometry.project_p1(v, x0, p1, p2)
-        except geometry.DegeneratePlaneError:
-            # waypoints collinear with the motion: any containing plane
-            # works, so project onto the motion line itself (a straight run)
-            p1_hat = x0 + float(np.dot(p1 - x0, v)) * v
-        desired = geometry.desired_parameters(x0, p1_hat, p2, frame)
 
         t_high, t_low, clamped_t = self.maps.timing(desired.h, desired.alpha)
         t_high = max(t_high, 0.0)

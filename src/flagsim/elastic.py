@@ -83,6 +83,7 @@ coarsest level it allows:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -443,23 +444,18 @@ def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
     return -band.reshape(BAND_ROWS, d)
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
 BANDWIDTH = 10  # the 11-DOF bend/twist stencil couples DOFs at most 10 apart
 BAND_ROWS = 3 * BANDWIDTH + 1  # gbsv storage: kl = ku = BANDWIDTH plus kl LU fill rows
 DIAG_ROW = 2 * BANDWIDTH  # band row of the main diagonal
 
 
+@functools.cache
 def _band_indices(n: int) -> np.ndarray:
     """Scatter indices of the stencils' (11, 11) blocks into the raveled band storage.
 
     a[i, j] -> ab[DIAG_ROW + i - j, j] in the (BAND_ROWS, 4N-1) array.
     """
-    cached = _INDEX_CACHE.get(n)
-    if cached is None:
-        d = 4 * n - 1
-        stencil = 4 * np.arange(n - 2)[:, None] + np.arange(11)
-        rows, cols = stencil[:, :, None], stencil[:, None, :]
-        cached = ((DIAG_ROW + rows - cols) * d + cols).ravel()
-        _INDEX_CACHE[n] = cached
-    return cached
+    d = 4 * n - 1
+    stencil = 4 * np.arange(n - 2)[:, None] + np.arange(11)
+    rows, cols = stencil[:, :, None], stencil[:, None, :]
+    return ((DIAG_ROW + rows - cols) * d + cols).ravel()

@@ -323,8 +323,8 @@ def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarr
     t_low > k dt). A segment whose endpoint stays on the before-line raises
     NoTurnError.
 
-    A degenerate x-orientation is retried once in a frame rotated to align
-    the dominant displacement with +x; scalars are rotation invariant.
+    A degenerate x-orientation is retried once in a rotated frame
+    (in_x_frame); scalars are rotation invariant.
     """
     samples = np.asarray(samples, dtype=float)
     expected = k + math.ceil((t_high + t_low) / dt_obs - 1e-9) + 1
@@ -332,16 +332,22 @@ def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarr
         raise ValueError(
             f"expected {expected} samples covering the segment, got {samples.shape[0]}"
         )
+    return in_x_frame(
+        lambda s, x1, x2: _parameterize_in_frame(s, x1, x2, t_high, t_low, dt_obs, k),
+        samples, np.asarray(x1_t0, float), np.asarray(x2_t0, float))
+
+
+def in_x_frame(fit, samples: np.ndarray, *points: np.ndarray):
+    """fit(samples, *points); on DegenerateFitError, once more in a rotated frame.
+
+    Every argument is rotated by rotation_to_x(samples[-1] - samples[0]), so
+    the samples run along +x. fit must return rotation-invariant results.
+    """
     try:
-        return _parameterize_in_frame(samples, np.asarray(x1_t0, float),
-                                      np.asarray(x2_t0, float), t_high, t_low,
-                                      dt_obs, k)
+        return fit(samples, *points)
     except DegenerateFitError:
-        disp = samples[-1] - samples[0]
-        rot = rotation_to_x(disp)
-        return _parameterize_in_frame(samples @ rot.T, rot @ np.asarray(x1_t0, float),
-                                      rot @ np.asarray(x2_t0, float), t_high, t_low,
-                                      dt_obs, k)
+        rot = rotation_to_x(samples[-1] - samples[0])
+        return fit(samples @ rot.T, *(rot @ p for p in points))
 
 
 def point_segment_distance(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

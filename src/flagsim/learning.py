@@ -345,7 +345,7 @@ class DatasetSpec:
     t_high_grid: tuple                # pulse durations [s]
     settle_time: float                # t0: pulse application instant [s]
     segments_per_trajectory: int = 8
-    seed: int = 0                     # recorded in the metadata; generation draws no random numbers
+    seed: int = 0                     # the spec's label for _meta.json; nothing here is random
 
     def __post_init__(self):
         if not (0.0 < self.total_time < math.inf and 0.0 < self.settle_time < math.inf):

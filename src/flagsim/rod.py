@@ -9,6 +9,7 @@ angles: q = [x_0, theta^0, x_1, theta^1, ..., x_{N-2}, theta^{N-2}, x_{N-1}].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,18 +70,10 @@ class RodState:
         )
 
 
-_NODE_INDEX_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def node_dof_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(position indices (N,3), twist indices (N-1,)) into the DOF vector."""
-    cached = _NODE_INDEX_CACHE.get(n)
-    if cached is None:
-        pos_idx = 4 * np.arange(n)[:, None] + np.arange(3)
-        theta_idx = 4 * np.arange(n - 1) + 3
-        cached = (pos_idx, theta_idx)
-        _NODE_INDEX_CACHE[n] = cached
-    return cached
+    return 4 * np.arange(n)[:, None] + np.arange(3), 4 * np.arange(n - 1) + 3
 
 
 def pack_dofs(positions: np.ndarray, thetas: np.ndarray) -> np.ndarray:

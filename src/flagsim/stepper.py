@@ -24,6 +24,10 @@ step takes the spectrum from its caller. Integrator keeps one cache of it,
 which the full step and the fallback substeps share, and rebuilds it every
 MOBILITY_REFRESH steps of either size.
 
+Newton stops at a residual norm of NEWTON_TOL times the force scale and
+stalls after MAX_NEWTON_ITERS iterations. Like the spectrum's, these are
+constants: StepControls carries only the step size the substeps change.
+
 Cost split of step. Per run (shared through the arguments or cached per
 rod size): the rest configuration with its moduli and lumped masses, and
 the band positions of the pinned twist DOF. Per step: the committed frames
@@ -38,6 +42,7 @@ so Integrator.copy forks a run exactly.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,25 +77,15 @@ class SimulationError(RuntimeError):
 
 MOBILITY_FLOOR = 0.25  # spectral floor of the drag solve, as a fraction of the local drag
 MOBILITY_REFRESH = 8   # steps, full or sub, between spectrum rebuilds in Integrator
+NEWTON_TOL = 1e-6      # Newton's force-residual tolerance, relative to the force scale
+MAX_NEWTON_ITERS = 50  # Newton iterations before a step counts as stalled
 
 
 @dataclass(frozen=True)
 class StepControls:
-    """Solver settings of step and Integrator.
+    """The step size of step: the benchmark passes it as controls= and counts substeps by it."""
 
-    The Newton matrix is always the analytic banded elastic Jacobian, and
-    the drag solve always goes through the spectrum step is given.
-    """
-
-    newton_tol: float = 1e-6        # relative force-residual tolerance
-    max_newton_iters: int = 50
-    time_step: float | None = None  # None -> PhysicalParameters.time_step
-
-    def __post_init__(self):
-        if not 0.0 < self.newton_tol <= 1e-2:
-            raise ValueError(f"newton_tol must lie in (0, 1e-2], got {self.newton_tol}")
-        if self.max_newton_iters < 5:
-            raise ValueError(f"max_newton_iters must be >= 5, got {self.max_newton_iters}")
+    time_step: float | None = None  # None -> PhysicalParameters.time_step; substeps set it
 
 
 @dataclass
@@ -208,18 +203,12 @@ def external_force(state: RodState, params: PhysicalParameters,
     return f_ext
 
 
-_PIN_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _pinned_entries(d: int) -> np.ndarray:
     """Flat band-storage indices of row and column 3 of a (d, d) band matrix, diagonal last."""
-    cached = _PIN_INDEX_CACHE.get(d)
-    if cached is None:
-        cols = np.arange(min(3 + BANDWIDTH + 1, d))  # a[3, j], |3 - j| <= BANDWIDTH
-        cached = np.concatenate([(DIAG_ROW + 3 - cols) * d + cols,
-                                 np.arange(BAND_ROWS) * d + 3, [DIAG_ROW * d + 3]])
-        _PIN_INDEX_CACHE[d] = cached
-    return cached
+    cols = np.arange(min(3 + BANDWIDTH + 1, d))  # a[3, j], |3 - j| <= BANDWIDTH
+    return np.concatenate([(DIAG_ROW + 3 - cols) * d + cols,
+                           np.arange(BAND_ROWS) * d + 3, [DIAG_ROW * d + 3]])
 
 
 def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
@@ -261,8 +250,8 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
                 1e-6 * stiff.stretching)
     pinned = _pinned_entries(q_old.shape[0])
     dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
-    for it in range(controls.max_newton_iters):
-        if rnorm <= controls.newton_tol * scale:
+    for it in range(MAX_NEWTON_ITERS):
+        if rnorm <= NEWTON_TOL * scale:
             converged = True
             break
         # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
@@ -299,8 +288,8 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
 
     if not converged:
         raise NewtonDivergenceError(
-            f"Newton stalled at residual {rnorm:.3e} (tol {controls.newton_tol * scale:.3e}) "
-            f"after {controls.max_newton_iters} iterations", diag,
+            f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL * scale:.3e}) "
+            f"after {MAX_NEWTON_ITERS} iterations", diag,
         )
     diag.converged = converged
 

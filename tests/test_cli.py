@@ -25,15 +25,22 @@ from flagsim.stepper import StepControls
 from conftest import brute_polyline_distance, save_json
 
 
+TINY_CONFIG = {
+    "physical": {"node_count": 16, "time_step_s": 0.005},
+    "control": {"observation_interval_s": 0.5, "startup_time_s": 5.0},
+}
+
+
 def tiny_config(tmp_path, duration_scale=1.0):
     """Desk preset shrunk to a few-node rod for fast CLI runs."""
-    cfg = {
-        "physical": {"node_count": 16, "time_step_s": 0.005},
-        "control": {"observation_interval_s": 0.5, "startup_time_s": 5.0},
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY_CONFIG))
     return str(path)
+
+
+def tiny_with(section, **values):
+    """TINY_CONFIG with the given values of one section replaced."""
+    return {**TINY_CONFIG, section: {**TINY_CONFIG[section], **values}}
 
 
 def test_preset_roundtrip(tmp_path):
@@ -56,30 +63,33 @@ def test_unknown_keys_rejected(tmp_path):
     path.write_text(json.dumps({"bogus_section": {}}))
     with pytest.raises(ConfigError):
         load_config(path, "desk")
+    path.write_text(json.dumps({"seed": 7}))
+    with pytest.raises(ConfigError):
+        load_config(path, "desk")
 
 
 def test_config_override(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"control": {"omega_high_rpm": 18.0}, "seed": 7}))
+    path.write_text(json.dumps({"control": {"omega_high_rpm": 18.0}}))
     cfg = load_config(path, "desk")
     assert cfg.control.omega_high_rpm == 18.0
-    assert cfg.seed == 7
     assert cfg.physical.node_count == 42  # preset value retained
 
 
 def test_spectrum_policy_keys_are_unknown(tmp_path, capsys):
-    # the spectral floor and its refresh interval are stepper constants
+    # the spectral floor, its refresh interval and Newton's tolerance and
+    # iteration cap are stepper constants
     path = tmp_path / "cfg.json"
-    for key in ("mobility_floor", "mobility_refresh"):
+    for key in ("mobility_floor", "mobility_refresh", "newton_tol", "max_newton_iters"):
         with pytest.raises(TypeError):
             StepControls(**{key: 1})
         path.write_text(json.dumps({"solver": {key: 1}}))
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match="solver"):
             load_config(path, "desk")
         rc = main(["simulate", "--config", str(path), "--duration", "1.0",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 1
-        assert f"input error: unknown keys in 'solver': ['{key}']" in capsys.readouterr().err
+        assert "input error: unknown top-level keys: ['solver']" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -294,6 +304,8 @@ def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
 RAGGED_WAYPOINTS = [[0.1, 0.0, 0.0], [0.2, 0.0]]
 NAN_WAYPOINTS = [[0.1, 0.0, 0.0], [math.nan, 0.0, 0.0]]
 GEN_SPEC = {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 5.0}
+CONTROL_ON_INPUT_CONFIG = ["control", "--config", "{input}", "--models", "{models}",
+                           "--waypoints", "{waypoints}", "--max-duration", "6"]
 
 
 def write_models(directory):
@@ -349,6 +361,17 @@ def write_models(directory):
     (GEN_SPEC, ["gen-data", "--config", "{config}", "--spec", "{input}", "--workers", "-1"]),
     # the preset is chosen by --preset only
     ({"preset": "paper"}, ["simulate", "--config", "{input}", "--duration", "1"]),
+    # only train takes a seed; a config has none
+    (None, ["simulate", "--config", "{config}", "--seed", "1", "--duration", "1"]),
+    ({"seed": "x"}, ["simulate", "--config", "{input}", "--duration", "1"]),
+    # a config value must match its field's type
+    (tiny_with("physical", node_count=16.5),
+     ["simulate", "--config", "{input}", "--duration", "1"]),
+    (tiny_with("physical", time_step_s=math.inf),
+     ["simulate", "--config", "{input}", "--duration", "1"]),
+    (tiny_with("control", history_length=10.5), CONTROL_ON_INPUT_CONFIG),
+    (tiny_with("control", linearity_threshold_m2="x"), CONTROL_ON_INPUT_CONFIG),
+    (tiny_with("control", cruise_speed_m_s=-1), CONTROL_ON_INPUT_CONFIG),
 ], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
         "profile-not-increasing", "negative-duration", "infinite-duration", "nan-duration",
         "profile-nan-rate", "profile-infinite-rate", "profile-nan-time",
@@ -357,7 +380,10 @@ def write_models(directory):
         "control-nan-waypoint", "trajectory-non-numeric", "trajectory-three-columns",
         "trajectory-header-only", "usage-missing-required", "usage-unknown-flag",
         "usage-train-joint", "gen-data-zero-workers", "gen-data-negative-workers",
-        "config-preset-key"])
+        "config-preset-key", "usage-simulate-seed", "config-seed-key",
+        "config-fractional-node-count", "config-infinite-time-step",
+        "config-fractional-history-length", "config-string-threshold",
+        "config-negative-cruise-speed"])
 def test_bad_input_is_input_error(tmp_path, capsys, content, argv):
     path = tmp_path / "input"
     if content is not None:
@@ -401,6 +427,42 @@ def test_malformed_model_file_is_input_error(tmp_path, capsys, content):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "f_L.json" in err
+    assert not out.exists()
+
+
+BAD_CRUISE_FILES = [[1], {"cruise_speed_m_s": "fast"}, {"cruise_speed_m_s": -1.0},
+                    {"cruise_speed_m_s": 0}, {"cruise_speed_m_s": math.inf}]
+BAD_CRUISE_IDS = ["not-an-object", "string-speed", "negative-speed", "zero-speed",
+                  "infinite-speed"]
+
+
+@pytest.mark.parametrize("content", BAD_CRUISE_FILES, ids=BAD_CRUISE_IDS)
+def test_malformed_calibration_file_is_input_error(tmp_path, capsys, content):
+    write_models(tmp_path / "models")
+    (tmp_path / "models" / "calibration.json").write_text(json.dumps(content))
+    waypoints = tmp_path / "wp.json"
+    waypoints.write_text(json.dumps([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]))
+    out = tmp_path / "t.csv"
+    rc = main(["control", "--config", tiny_config(tmp_path), "--models",
+               str(tmp_path / "models"), "--waypoints", str(waypoints), "--out", str(out),
+               "--max-duration", "6"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "calibration.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", BAD_CRUISE_FILES, ids=BAD_CRUISE_IDS)
+def test_malformed_dataset_meta_is_input_error(tmp_path, capsys, content):
+    points = [SteeringDatapoint(t_high=1.0 + i, t_low=40.0 + i, h=0.01, alpha=2.0 + i,
+                                beta=0.0, l=0.0) for i in range(40)]
+    (tmp_path / "data.csv").write_text(dataset_csv(points))
+    (tmp_path / "data_meta.json").write_text(json.dumps(content))
+    out = tmp_path / "models"
+    rc = main(["train", "--dataset", str(tmp_path / "data.csv"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "data_meta.json" in err
     assert not out.exists()
 
 
