@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_section
 from .control import (
     ControlConfig,
     InverseMaps,
@@ -48,6 +48,9 @@ from .stepper import AngularVelocityProfile, SimulationError, simulate
 
 TRAJECTORY_HEADER = "t,x,y,z,x1x,x1y,x1z,x2x,x2y,x2z,omega"
 DATASET_HEADER = "t_H,t_L,h,alpha,beta,l"
+_SPEC_KEYS = {"total_time_s": "total_time", "t_high_grid_s": "t_high_grid",
+              "settle_time_s": "settle_time",
+              "segments_per_trajectory": "segments_per_trajectory", "seed": "seed"}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -159,21 +162,15 @@ def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.preset)
     with open(args.spec) as fh:
         raw = json.load(fh)
-    allowed = {"total_time_s", "t_high_grid_s", "settle_time_s",
-               "segments_per_trajectory", "seed"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown dataset-spec keys: {sorted(unknown)}")
+    parse_section(raw, DatasetSpec, _SPEC_KEYS, "spec")  # every value present has its field's type
     try:
-        label = {"seed": int(raw["seed"])} if "seed" in raw else {}
         spec = DatasetSpec(
             total_time=float(raw["total_time_s"]),
             t_high_grid=tuple(float(v) for v in raw["t_high_grid_s"]),
             settle_time=float(raw.get("settle_time_s", cfg.control.startup_time)),
-            segments_per_trajectory=int(raw.get("segments_per_trajectory", 8)),
-            **label,
+            **{k: raw[k] for k in ("segments_per_trajectory", "seed") if k in raw},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad dataset spec: {type(exc).__name__}: {exc}") from exc
     try:
         out = generate_dataset(

@@ -3,7 +3,9 @@
 A file holds up to two sections, "physical" and "control" (21 keys). All
 values SI except angular rates, which carry an explicit _rpm suffix in the
 file format. Unknown keys are rejected; an int field takes only a JSON
-integer and a float field only a finite number.
+integer, a float field only a finite number and a tuple field only a list
+of finite numbers. gen-data's dataset spec is checked by the same rule
+(parse_section).
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ _CONTROL_KEYS = {
 }
 
 
-def _parse_section(data: dict, cls: type, keymap: dict, section: str) -> dict:
+def _finite(value) -> bool:
+    return type(value) in (int, float) and -math.inf < value < math.inf
+
+
+def parse_section(data: dict, cls: type, keymap: dict, section: str) -> dict:
     """The section's values by field name, each checked against its field's type."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
@@ -79,7 +85,11 @@ def _parse_section(data: dict, cls: type, keymap: dict, section: str) -> dict:
         if types[attr] == "int":
             if type(value) is not int:
                 raise ConfigError(f"{section}.{file_key} must be an integer, got {value!r}")
-        elif type(value) not in (int, float) or not -math.inf < value < math.inf:
+        elif types[attr] == "tuple":
+            if type(value) is not list or not all(map(_finite, value)):
+                raise ConfigError(f"{section}.{file_key} must be a list of finite numbers, "
+                                  f"got {value!r}")
+        elif not _finite(value):
             raise ConfigError(f"{section}.{file_key} must be a finite number, got {value!r}")
         out[attr] = value
     return out
@@ -115,10 +125,10 @@ def load_config(path=None, preset_name: str = "desk",
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
-    phys_kwargs = _parse_section(data.get("physical", {}), PhysicalParameters,
-                                 _PHYS_KEYS, "physical")
-    control_kwargs = _parse_section(data.get("control", {}), ControlConfig,
-                                    _CONTROL_KEYS, "control")
+    phys_kwargs = parse_section(data.get("physical", {}), PhysicalParameters,
+                                _PHYS_KEYS, "physical")
+    control_kwargs = parse_section(data.get("control", {}), ControlConfig,
+                                   _CONTROL_KEYS, "control")
     try:
         physical = replace(base.physical, **phys_kwargs)
         control = replace(base.control, **control_kwargs)

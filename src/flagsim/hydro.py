@@ -14,12 +14,13 @@ operator into it, and clamped_spectrum lets LAPACK overwrite it with the
 eigenvectors. solve_forces_and_head_spin then applies that spectrum to all
 its right-hand sides at once, reading the eigenvectors twice per call.
 
-Cost split: the spectrum is built once per MOBILITY_REFRESH steps (see
-stepper); solve_forces_and_head_spin runs once per step and builds the
-cross-product matrices [r]x of the head offsets once, for both the
-spin-flow columns and the torque map; head_force, called on the solve's
-forces, takes the distances by direct products without checking them
-again. The gesv handle of the 3x3 torque balance is looked up once.
+Cost split: the spectrum is built once per MOBILITY_REFRESH seconds of
+simulated time (see stepper); solve_forces_and_head_spin runs once per
+step and builds the cross-product matrices [r]x of the head offsets once,
+for both the spin-flow columns and the torque map; head_force, called on
+the solve's forces, takes the distances by direct products without
+checking them again. The gesv handle of the 3x3 torque balance is looked
+up once.
 """
 
 from __future__ import annotations

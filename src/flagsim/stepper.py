@@ -22,7 +22,8 @@ The drag solve goes through the mobility spectrum with its eigenvalues
 floored at MOBILITY_FLOOR times the local drag (hydro.clamped_spectrum).
 step takes the spectrum from its caller. Integrator keeps one cache of it,
 which the full step and the fallback substeps share, and rebuilds it every
-MOBILITY_REFRESH steps of either size.
+MOBILITY_REFRESH seconds of simulated time: once per
+round(MOBILITY_REFRESH / dt) steps, each substep counting as one.
 
 Newton stops at a residual norm of NEWTON_TOL times the force scale and
 stalls after MAX_NEWTON_ITERS iterations. Like the spectrum's, these are
@@ -76,7 +77,7 @@ class SimulationError(RuntimeError):
 
 
 MOBILITY_FLOOR = 0.25  # spectral floor of the drag solve, as a fraction of the local drag
-MOBILITY_REFRESH = 8   # steps, full or sub, between spectrum rebuilds in Integrator
+MOBILITY_REFRESH = 0.04  # simulated seconds between spectrum rebuilds in Integrator
 NEWTON_TOL = 1e-6      # Newton's force-residual tolerance, relative to the force scale
 MAX_NEWTON_ITERS = 50  # Newton iterations before a step counts as stalled
 
@@ -172,8 +173,8 @@ def external_force(state: RodState, params: PhysicalParameters,
     inside the solve. spectrum is the clamped mobility spectrum to solve
     with (mobility_spectrum), taken at this configuration or at one a few
     steps back: Integrator rebuilds its cached spectrum every
-    MOBILITY_REFRESH steps, and the rod drifts a fraction of an edge length
-    in between.
+    MOBILITY_REFRESH seconds, and the rod drifts a fraction of an edge
+    length in between.
     """
     n = params.node_count
     pos = state.positions
@@ -322,7 +323,9 @@ class Integrator:
     bit-identically.
 
     Full steps and substeps share one cached mobility spectrum, rebuilt
-    before every MOBILITY_REFRESH-th step of either size. It may date from
+    before every refresh-th step of either size, where refresh =
+    round(MOBILITY_REFRESH / dt) is the step count of MOBILITY_REFRESH
+    seconds at the full step (8 at dt = 5 ms, 40 at 1 ms). It may date from
     a substep that a failure rolled back, within one step of the current
     state: inside the drift the cache tolerates between rebuilds.
     """
@@ -341,9 +344,10 @@ class Integrator:
         self.steps = 0
         self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
-        self._age = 0  # steps attempted, full or sub; a multiple of MOBILITY_REFRESH rebuilds
+        self._age = 0  # steps attempted, full or sub; a multiple of _refresh rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
+        self._refresh = max(int(round(MOBILITY_REFRESH / self.dt)), 1)
 
     @property
     def time(self) -> float:
@@ -428,7 +432,7 @@ class Integrator:
         controls = self.controls if sub == 1 else replace(self.controls, time_step=self.dt / sub)
         state = self.state
         for _ in range(sub):
-            if self._spectrum is None or self._age % MOBILITY_REFRESH == 0:
+            if self._spectrum is None or self._age % self._refresh == 0:
                 self._spectrum = None  # release the old spectrum before building the new one
                 self._spectrum = mobility_spectrum(state, self.params)
             self._age += 1

@@ -8,6 +8,7 @@ from flagsim import (
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
+    hydro,
     paper_parameters,
 )
 from flagsim.elastic import (
@@ -159,6 +160,19 @@ def flaky_step(real_step, error, every_call=False):
         return real_step(state, rest, stiff, params, omega, controls, *args)
 
     return step, sizes
+
+
+def count_spectra(monkeypatch):
+    """A list that gains one entry per hydro.clamped_spectrum call from here on."""
+    spectra = []
+    clamped_spectrum = hydro.clamped_spectrum
+
+    def counting(*args):
+        spectra.append(None)
+        return clamped_spectrum(*args)
+
+    monkeypatch.setattr(hydro, "clamped_spectrum", counting)
+    return spectra
 
 
 def fallback_sizes(dt, n_steps):

@@ -20,7 +20,7 @@ writes, next to this script:
   15 rpm, then 3 rpm again.
 - paper_cruise.npz: head and node-1 samples of the paper rod (paper
   preset, N=122, dt=1 ms) at a constant 3 rpm on the 0.01 s grid for
-  0.05 s: 50 steps across 7 mobility-spectrum refreshes.
+  0.05 s: 50 steps, with the mobility spectrum built at steps 0 and 40.
 - fallback_tiny.npz: head and node-1 samples of the tiny rod at a
   constant 3 rpm on the 0.1 s grid for 1 s, with its first full step
   failing (conftest.flaky_step): all 200 steps run as half steps in the
@@ -38,10 +38,10 @@ elastic_moved_n10.npz at commit f98e22a, the last revision that
 transported the frames and updated the reference twist in two passes;
 training.npz at commit 35e3801, the last revision that solved each damped
 Gauss-Newton step with np.linalg.solve on the parameter-space matrix;
-paper_cruise.npz at commit a74f3fa, the last revision that decomposed the
-mobility with np.linalg.eigh and applied its spectrum to one right-hand
-side at a time; fallback_tiny.npz at commit b17636b, the last revision
-that built a new spectrum for every substep.
+paper_cruise.npz on the child of commit ad59413, the last revision that
+rebuilt the spectrum every 8 steps rather than every 40 ms (it was
+recorded before at commit a74f3fa); fallback_tiny.npz at commit b17636b,
+the last revision that built a new spectrum for every substep.
 Re-record only after a deliberate change to the physics or the trainer.
 Name fixtures to record only those:
 

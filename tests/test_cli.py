@@ -304,6 +304,7 @@ def test_gen_data_bad_spec_is_input_error(tmp_path, capsys, spec):
 RAGGED_WAYPOINTS = [[0.1, 0.0, 0.0], [0.2, 0.0]]
 NAN_WAYPOINTS = [[0.1, 0.0, 0.0], [math.nan, 0.0, 0.0]]
 GEN_SPEC = {"total_time_s": 20.0, "t_high_grid_s": [1.0], "settle_time_s": 5.0}
+GEN_DATA_ON_INPUT_SPEC = ["gen-data", "--config", "{config}", "--spec", "{input}"]
 CONTROL_ON_INPUT_CONFIG = ["control", "--config", "{input}", "--models", "{models}",
                            "--waypoints", "{waypoints}", "--max-duration", "6"]
 
@@ -372,6 +373,11 @@ def write_models(directory):
     (tiny_with("control", history_length=10.5), CONTROL_ON_INPUT_CONFIG),
     (tiny_with("control", linearity_threshold_m2="x"), CONTROL_ON_INPUT_CONFIG),
     (tiny_with("control", cruise_speed_m_s=-1), CONTROL_ON_INPUT_CONFIG),
+    # a dataset-spec value must match its field's type, as a config value does
+    (5, GEN_DATA_ON_INPUT_SPEC),
+    ({**GEN_SPEC, "t_high_grid_s": "12"}, GEN_DATA_ON_INPUT_SPEC),
+    ({**GEN_SPEC, "segments_per_trajectory": 2.7}, GEN_DATA_ON_INPUT_SPEC),
+    ({**GEN_SPEC, "seed": 1.5}, GEN_DATA_ON_INPUT_SPEC),
 ], ids=["train-19-rows", "profile-no-breakpoints", "profile-not-an-object", "profile-ragged",
         "profile-not-increasing", "negative-duration", "infinite-duration", "nan-duration",
         "profile-nan-rate", "profile-infinite-rate", "profile-nan-time",
@@ -383,7 +389,8 @@ def write_models(directory):
         "config-preset-key", "usage-simulate-seed", "config-seed-key",
         "config-fractional-node-count", "config-infinite-time-step",
         "config-fractional-history-length", "config-string-threshold",
-        "config-negative-cruise-speed"])
+        "config-negative-cruise-speed", "spec-not-an-object", "spec-string-grid",
+        "spec-fractional-segments", "spec-fractional-seed"])
 def test_bad_input_is_input_error(tmp_path, capsys, content, argv):
     path = tmp_path / "input"
     if content is not None:

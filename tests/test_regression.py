@@ -19,14 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flaky_step, make_synthetic_dataset
+from conftest import count_spectra, flaky_step, make_synthetic_dataset
 from flagsim import (
     ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
     paper_parameters,
-    hydro,
     stepper,
 )
 from flagsim.elastic import CommittedFrames, evaluate_elastics, jacobian_from_eval
@@ -94,7 +93,7 @@ def test_pulse_trajectory_matches_recorded():
 
 
 def test_paper_cruise_matches_recorded(paper_params):
-    # paper rod at 3 rpm for 50 steps: the dense mobility, refreshed 7 times
+    # paper rod at 3 rpm for 50 steps: the dense mobility, built twice (steps 0 and 40)
     ref = np.load(DATA / "paper_cruise.npz")
     traj = simulate(paper_params, AngularVelocityProfile.constant(3.0 * RPM), 0.05, 0.01)
     travel = np.max(np.linalg.norm(ref["head"] - ref["head"][0], axis=1))
@@ -113,14 +112,7 @@ def test_recovery_window_matches_recorded(monkeypatch):
     # 2.8e-4. The tolerance is 1e-3 of the head's travel.
     ref = np.load(DATA / "fallback_tiny.npz")
     params = desk_parameters(node_count=16, time_step=0.005)
-    spectra = []
-    clamped_spectrum = hydro.clamped_spectrum
-
-    def counting(*args):
-        spectra.append(None)
-        return clamped_spectrum(*args)
-
-    monkeypatch.setattr(hydro, "clamped_spectrum", counting)
+    spectra = count_spectra(monkeypatch)
     flaky, sizes = flaky_step(stepper.step, NewtonDivergenceError("injected", StepDiagnostics()))
     monkeypatch.setattr(stepper, "step", flaky)
     traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 1.0, 0.1)

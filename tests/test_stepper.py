@@ -19,7 +19,13 @@ from flagsim.stepper import (
     step,
 )
 
-from conftest import committed_perturbation, dense_from_band, fallback_sizes, flaky_step
+from conftest import (
+    committed_perturbation,
+    count_spectra,
+    dense_from_band,
+    fallback_sizes,
+    flaky_step,
+)
 
 
 def test_node_separation_failure_is_simulation_error(monkeypatch):
@@ -123,7 +129,7 @@ def test_integrator_copy_is_exact(monkeypatch):
     original.advance(omega, 13)  # the spectrum cache dates from step 8
     original.record(omega)
     fork = original.copy()
-    assert fork._spectrum is not None and stepper.MOBILITY_REFRESH == 8
+    assert fork._spectrum is not None and fork._refresh == 8  # 40 ms at dt = 5 ms
     assert not np.shares_memory(fork._spectrum[0], original._spectrum[0])
     for _ in range(20):
         original.advance(omega)
@@ -156,6 +162,47 @@ def test_integrator_copy_is_exact(monkeypatch):
         fork.advance(omega)
         _assert_same_run(original, fork)
     assert sizes.count(0.0025) == 2 * 2 * 200 - 2 * 7
+
+
+@pytest.mark.parametrize("rod, duration, built", [("paper", 0.05, 2), ("tiny", 1.0, 25)])
+def test_spectrum_refresh_counts_simulated_seconds(monkeypatch, paper_params, rod, duration,
+                                                   built):
+    # The spectrum is rebuilt every 40 ms of simulated time: every 40 steps
+    # of the paper rod (dt = 1 ms, steps 0 and 40 of 50) and every 8 of the
+    # tiny rod (dt = 5 ms, 25 times in 200 steps).
+    params = paper_params if rod == "paper" else desk_parameters(node_count=16, time_step=0.005)
+    spectra = count_spectra(monkeypatch)
+    simulate(params, AngularVelocityProfile.constant(3 * 2 * math.pi / 60), duration, duration)
+    assert len(spectra) == built
+
+
+def test_cached_spectrum_tracks_a_rebuild_every_step(monkeypatch, paper_params):
+    # The paper rod at 3 rpm for 50 steps, with the spectrum 40 ms (40 steps)
+    # old at most, against a rebuild every step: the head moved by 3.1e-5 of
+    # its travel and node 1 by 1.6e-4 when this was written.
+    profile = AngularVelocityProfile.constant(3 * 2 * math.pi / 60)
+    cached = simulate(paper_params, profile, 0.05, 0.01)
+    monkeypatch.setattr(stepper, "MOBILITY_REFRESH", paper_params.time_step)
+    spectra = count_spectra(monkeypatch)
+    fresh = simulate(paper_params, profile, 0.05, 0.01)
+    assert len(spectra) == 50
+    travel = np.max(np.linalg.norm(fresh.head - fresh.head[0], axis=1))
+    assert travel > 1e-8
+    assert np.max(np.abs(cached.head - fresh.head)) <= 5e-4 * travel
+    assert np.max(np.abs(cached.node1 - fresh.node1)) <= 5e-4 * travel
+
+
+def test_integrator_is_first_order():
+    # Richardson ratio |x(dt) - x(dt/2)| / |x(dt/2) - x(dt/4)| of the head
+    # after 1 s at 3 rpm: about 2 for a first-order step (1.95 when this was
+    # written). The spectrum refresh lags by the same 40 ms at every dt, so a
+    # refresh that came to depend on dt and lowered the order would show.
+    omega = 3 * 2 * math.pi / 60
+    heads = [simulate(desk_parameters(node_count=16, time_step=dt),
+                      AngularVelocityProfile.constant(omega), 1.0, 1.0).head[-1]
+             for dt in (0.005, 0.0025, 0.00125)]
+    ratio = np.linalg.norm(heads[0] - heads[1]) / np.linalg.norm(heads[1] - heads[2])
+    assert 1.6 <= ratio <= 2.4
 
 
 def test_external_force_head_terms():
