@@ -2,7 +2,7 @@
 
 from .params import PhysicalParameters, desk_parameters, paper_parameters
 from .rod import RodState, build_initial_configuration
-from .elastic import ElasticStiffnesses, RestConfiguration
+from .elastic import RestConfiguration
 from .stepper import AngularVelocityProfile, HeadTrajectory, StepControls, simulate, step
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "paper_parameters",
     "RodState",
     "build_initial_configuration",
-    "ElasticStiffnesses",
     "RestConfiguration",
     "AngularVelocityProfile",
     "HeadTrajectory",

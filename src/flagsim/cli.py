@@ -177,7 +177,7 @@ def cmd_gen_data(args) -> int:
             cfg.physical, spec,
             omega_low=cfg.control.omega_low,
             omega_high=cfg.control.omega_high,
-            omega_buckling=cfg.control.omega_buckling_rpm * 2 * math.pi / 60.0,
+            omega_buckling=cfg.control.omega_buckling,
             controls=cfg.solver,
             dt_obs=cfg.control.observation_interval,
             k=cfg.control.history_length,
@@ -192,7 +192,6 @@ def cmd_gen_data(args) -> int:
         "n_datapoints": len(out.datapoints),
         "n_rejections": len(out.rejections),
         "spec": raw,
-        "seed": spec.seed,
     }
     _atomic_write(os.path.splitext(args.out)[0] + "_meta.json",
                   json.dumps(meta, indent=1, sort_keys=True) + "\n")

@@ -78,6 +78,10 @@ class ControlConfig:
     def omega_high(self) -> float:
         return self.omega_high_rpm * 2.0 * math.pi / 60.0
 
+    @property
+    def omega_buckling(self) -> float:
+        return self.omega_buckling_rpm * 2.0 * math.pi / 60.0
+
 
 @dataclass
 class ControlInput:
@@ -207,7 +211,7 @@ class Controller:
         if inp.time <= cfg.startup_time or not complete:
             record.rejection = "startup" if inp.time <= cfg.startup_time else "incomplete input"
             return
-        if inp.omega >= cfg.omega_buckling_rpm * 2.0 * math.pi / 60.0:
+        if inp.omega >= cfg.omega_buckling:
             record.rejection = "above-buckling actuation active"
             return
 

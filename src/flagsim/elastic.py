@@ -103,24 +103,8 @@ from .rod import (
 
 
 @dataclass(frozen=True)
-class ElasticStiffnesses:
-    stretching: float  # EA [N]
-    bending: float     # EI [N m^2]
-    twisting: float    # GJ [N m^2]
-
-    @classmethod
-    def from_parameters(cls, params: PhysicalParameters) -> "ElasticStiffnesses":
-        r2 = params.rod_radius ** 2
-        r4 = params.rod_radius ** 4
-        ea = params.youngs_modulus * math.pi * r2
-        ei = params.youngs_modulus * math.pi * r4 / 4.0
-        gj = params.youngs_modulus / (2.0 * (1.0 + params.poisson_ratio)) * math.pi * r4 / 2.0
-        return cls(stretching=ea, bending=ei, twisting=gj)
-
-
-@dataclass(frozen=True)
 class RestConfiguration:
-    """Natural strains and lumped masses frozen at build time."""
+    """Natural strains, stiffnesses and lumped masses frozen at build time."""
 
     edge_lengths: np.ndarray   # (N-1,)
     voronoi_lengths: np.ndarray  # (N-2,) per internal node
@@ -129,6 +113,7 @@ class RestConfiguration:
     mass: np.ndarray           # (4N-1,) lumped mass per DOF
     min_edge: float            # degenerate-edge guard [m]
     moduli: np.ndarray         # (N-2, 3) (EI, EI, GJ) / l_vor per internal node
+    stretching: float          # EA [N]
 
     @classmethod
     def from_built_state(cls, params: PhysicalParameters, state: RodState) -> "RestConfiguration":
@@ -140,8 +125,14 @@ class RestConfiguration:
         kappa = _stencil_curvature(chi, b, material)[-1]
         twist = state.thetas[1:] - state.thetas[:-1] + state.ref_twist
 
+        r2 = params.rod_radius ** 2
+        r4 = params.rod_radius ** 4
+        ea = params.youngs_modulus * math.pi * r2
+        ei = params.youngs_modulus * math.pi * r4 / 4.0
+        gj = params.youngs_modulus / (2.0 * (1.0 + params.poisson_ratio)) * math.pi * r4 / 2.0
+
         n = params.node_count
-        rho_a = params.density * math.pi * params.rod_radius ** 2
+        rho_a = params.density * math.pi * r2
         node_mass = np.zeros(n)
         node_mass[:-1] += 0.5 * rho_a * lengths
         node_mass[1:] += 0.5 * rho_a * lengths
@@ -150,8 +141,7 @@ class RestConfiguration:
         # The filament base is mounted on the head; the head's rotational
         # inertia about transverse axes acts at the base node one radius away.
         node_mass[1] += 0.4 * head_mass
-        edge_inertia = 0.5 * (rho_a * lengths) * params.rod_radius ** 2
-        stiff = ElasticStiffnesses.from_parameters(params)
+        edge_inertia = 0.5 * (rho_a * lengths) * r2
 
         mass = np.empty(4 * n - 1)
         idx = np.arange(n)
@@ -164,7 +154,8 @@ class RestConfiguration:
             twist=twist,
             mass=mass,
             min_edge=1e-6 * params.edge_length,
-            moduli=np.array([stiff.bending, stiff.bending, stiff.twisting]) / voronoi[:, None],
+            moduli=np.array([ei, ei, gj]) / voronoi[:, None],
+            stretching=ea,
         )
 
 
@@ -271,7 +262,7 @@ def _stencil_curvature(chi, b, material):
 
 
 def evaluate_elastics(positions, thetas, committed: CommittedFrames,
-                      rest: RestConfiguration, stiff: ElasticStiffnesses) -> ElasticEval:
+                      rest: RestConfiguration) -> ElasticEval:
     """Elastic force at a candidate configuration.
 
     Frames are transported from the committed configuration, so the result
@@ -330,7 +321,7 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
     # of stencil j and the b part of stencil j - 1. The force is minus the
     # gradient.
     stretch = lengths / rest.edge_lengths - 1.0
-    tension = stiff.stretching * stretch
+    tension = rest.stretching * stretch
     per_edge = np.zeros((n + 1, 3))
     per_edge[1:-2] = grad_x[:, 0]
     per_edge[2:-1] += grad_x[:, 1]
@@ -347,7 +338,7 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
     cache = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
                  t_tilde=t_tilde, turned=turned, sides=sides, g=g, w=w, big_k=big_k, kb_a=kb_a,
                  half_wt_kb=half_wt_kb, grad_x=grad_x, tension=tension, n=n,
-                 strain=strain, stretch=stretch, ea=stiff.stretching,
+                 strain=strain, stretch=stretch, ea=rest.stretching,
                  rest_lengths=rest.edge_lengths)
     return ElasticEval(
         force=force[:-1],
@@ -409,8 +400,7 @@ def _bend_twist_hessians(c, moduli):
     return h
 
 
-def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
-                       stiff: ElasticStiffnesses) -> np.ndarray:
+def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration) -> np.ndarray:
     """Elastic force Jacobian from a cached evaluation, in LAPACK band storage.
 
     The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
@@ -430,7 +420,7 @@ def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration,
     h = _bend_twist_hessians(c, rest.moduli)
     # stretch blocks EA [(1/l0 - 1/l) I + t t^T / l], times l^2
     t = ev.tangents
-    blocks = (stiff.stretching * lengths)[:, None, None] * (t[:, :, None] * t[:, None, :])
+    blocks = (rest.stretching * lengths)[:, None, None] * (t[:, :, None] * t[:, None, :])
     blocks += (c["tension"] * lengths)[:, None, None] * _EYE
     h[:, :3, :3] += blocks[:-1]
     h[-1, 4:7, 4:7] += blocks[-1]

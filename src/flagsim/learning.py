@@ -1,16 +1,15 @@
 """Steering dataset generation and the inverse-dynamics regressors.
 
-The regressors are small feed-forward networks (2-20-10-5-m, tanh hidden
+The regressors are small feed-forward networks (2-20-10-5-1, tanh hidden
 layers, linear output) trained by damped Gauss-Newton least squares with
 evidence-based reweighting of the sum-squared-error and weight-decay terms
 (MacKay 1992; Foresee & Hagan 1997). The trainer works in the data space:
 one eigendecomposition of the Gram matrix J J^T of the residual Jacobian
 per epoch gives every damped step and the effective number of parameters
-in closed form. That decomposition costs the cube of the n*m training
-residuals, so it is the cheap side only while n*m stays at or below the
-parameter count P (331 for two inputs and one output). Every caller stays
-there: at most 256 training residuals. Training is deterministic given
-the seed.
+in closed form. That decomposition costs the cube of the n training
+residuals, so it is the cheap side only while n stays at or below the
+parameter count P (331 for two inputs). Every caller stays there: at most
+256 training residuals. Training is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ MU_INITIAL = 1e-2
 MU_RAISE = 5.0
 MU_DROP = 0.3
 MU_LIMIT = 1e12
+VALIDATION_FRACTION = 0.2  # share of the rows held out to select the iterate
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,6 @@ class TrainControls:
     seed: int = 0
     max_epochs: int = 400
     patience: int = 25
-    validation_fraction: float = 0.2
-    fixed_regularization: tuple | None = None  # (alpha, beta) to disable re-estimation
 
 
 @dataclass
@@ -158,53 +156,51 @@ def _forward(x, weights, biases):
 
 
 def _jacobian(x, weights, biases):
-    """Jacobian (n*m, P) of every output, in the errors' layout, wrt the flat
-    parameter vector."""
+    """Jacobian (n, P) of the one output wrt the flat parameter vector."""
     n = x.shape[0]
-    m = weights[-1].shape[0]
     acts = _forward(x, weights, biases)
     n_layers = len(weights)
     # _flatten's order: every weight matrix, then every bias vector
     offsets = np.cumsum([0] + [w.size for w in weights] + [b.size for b in biases])
 
-    jac = np.empty((n, m, offsets[-1]))
-    for o in range(m):
-        # delta at the linear output layer: one-hot on output o
-        delta = np.zeros((n, m))
-        delta[:, o] = 1.0
-        for layer in range(n_layers - 1, -1, -1):
-            jac[:, o, offsets[layer]: offsets[layer + 1]] = (
-                delta[:, :, None] * acts[layer][:, None, :]
-            ).reshape(n, -1)
-            jac[:, o, offsets[n_layers + layer]: offsets[n_layers + layer + 1]] = delta
-            if layer > 0:
-                delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
-    return jac.reshape(n * m, offsets[-1])
+    jac = np.empty((n, offsets[-1]))
+    delta = np.ones((n, 1))  # at the linear output layer
+    for layer in range(n_layers - 1, -1, -1):
+        jac[:, offsets[layer]: offsets[layer + 1]] = (
+            delta[:, :, None] * acts[layer][:, None, :]
+        ).reshape(n, -1)
+        jac[:, offsets[n_layers + layer]: offsets[n_layers + layer + 1]] = delta
+        if layer > 0:
+            delta = (delta @ weights[layer]) * (1.0 - acts[layer] ** 2)
+    return jac
 
 
 def train_regressor(inputs: np.ndarray, targets: np.ndarray,
                     controls: TrainControls | None = None) -> TrainResult:
-    """Fit one network by regularized second-order least squares.
+    """Fit one network to 1-D targets by regularized second-order least squares.
 
     Minimizes beta * sum(errors^2)/2 + alpha * sum(weights^2)/2 with damped
-    Gauss-Newton updates; unless fixed_regularization is given, alpha and
-    beta are re-estimated each accepted step from the effective number of
-    parameters gamma (evidence framework). Keeps the best-validation iterate.
+    Gauss-Newton updates; alpha and beta are re-estimated each accepted step
+    from the effective number of parameters gamma (evidence framework).
+    VALIDATION_FRACTION of the rows are held out, and the iterate with the
+    best validation error is kept. ValueError for targets that are not one
+    value per input row.
 
     Each epoch decomposes the Gram matrix J J^T = U diag(s) U^T of the
-    (n*m, P) residual Jacobian once. By Woodbury, the damped step
+    (n, P) residual Jacobian once. By Woodbury, the damped step
     (beta J^T J + lam I)^-1 grad with lam = alpha + mu is then
     J^T U [(beta U^T e - (alpha beta/lam) U^T J theta) / (beta s + lam)]
     + (alpha/lam) theta, and gamma = sum(beta s / (beta s + alpha)). This
-    holds for any n*m but is the cheap side only for n*m <= P.
+    holds for any n but is the cheap side only for n <= P.
     """
     controls = controls or TrainControls()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
     n, d_in = inputs.shape
-    d_out = targets.shape[1]
+    if targets.shape != (n,):
+        raise ValueError(f"targets must be one value per input row, shape ({n},); "
+                         f"got {targets.shape}")
+    targets = targets[:, None]
     if n < 20:
         raise ValueError(f"need at least 20 datapoints, got {n}")
     if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
@@ -219,25 +215,19 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
     x_all = (inputs - in_shift) / in_scale
     y_all = (targets - out_shift) / out_scale
 
-    layer_sizes = [d_in, *HIDDEN_LAYERS, d_out]
+    layer_sizes = [d_in, *HIDDEN_LAYERS, 1]
     # separate generators: the parameter draw must not depend on dataset size
     weights, biases = _init_parameters(layer_sizes, np.random.default_rng(controls.seed))
-    n_val = int(round(controls.validation_fraction * n))
-    if n_val > 0:
-        perm = np.random.default_rng(controls.seed + 9973).permutation(n)
-        val_idx = perm[:n_val]
-        train_idx = perm[n_val:]
-    else:  # without a validation set, the training error selects the iterate
-        val_idx = train_idx = np.arange(n)
+    n_val = int(round(VALIDATION_FRACTION * n))  # at least 4, since n >= 20
+    perm = np.random.default_rng(controls.seed + 9973).permutation(n)
+    val_idx = perm[:n_val]
+    train_idx = perm[n_val:]
     x_tr, y_tr = x_all[train_idx], y_all[train_idx]
     x_val, y_val = x_all[val_idx], y_all[val_idx]
     theta = _flatten(weights, biases)
-    n_eff = x_tr.shape[0] * d_out
+    n_eff = x_tr.shape[0]
 
-    if controls.fixed_regularization is not None:
-        alpha, beta = controls.fixed_regularization
-    else:
-        alpha, beta = 1e-4, 1.0
+    alpha, beta = 1e-4, 1.0
     mu = MU_INITIAL
 
     def objective(th):
@@ -289,15 +279,14 @@ def train_regressor(inputs: np.ndarray, targets: np.ndarray,
         if not accepted:
             break
 
-        if controls.fixed_regularization is None:
-            # evidence re-estimation of the regularizers
-            gamma = float(np.sum(beta * gram_s / (beta * gram_s + alpha)))
-            gamma = min(max(gamma, 1e-6), theta.size)
-            e_w = 0.5 * float(theta @ theta)
-            e_d = 0.5 * float(err @ err)
-            alpha = gamma / max(2.0 * e_w, 1e-12)
-            beta = max(n_eff - gamma, 1.0) / max(2.0 * e_d, 1e-12)
-            f_cur = 0.5 * beta * float(err @ err) + 0.5 * alpha * float(theta @ theta)
+        # evidence re-estimation of the regularizers
+        gamma = float(np.sum(beta * gram_s / (beta * gram_s + alpha)))
+        gamma = min(max(gamma, 1e-6), theta.size)
+        e_w = 0.5 * float(theta @ theta)
+        e_d = 0.5 * float(err @ err)
+        alpha = gamma / max(2.0 * e_w, 1e-12)
+        beta = max(n_eff - gamma, 1.0) / max(2.0 * e_d, 1e-12)
+        f_cur = 0.5 * beta * float(err @ err) + 0.5 * alpha * float(theta @ theta)
 
         val = val_rmse_of(theta)
         if val < best_val - 1e-12:
@@ -409,19 +398,23 @@ def extract_segments(traj, spec: DatasetSpec, t_high: float, dt_obs: float,
     return datapoints, rejections
 
 
+CRUISE_WINDOW = 40.0  # [s] of cruise after the settle that measure_cruise averages over
+
+
 def measure_cruise(params: PhysicalParameters, omega_low: float,
                    controls: StepControls, settle_time: float, dt_obs: float,
-                   window: float = 40.0,
                    start: Integrator | None = None) -> tuple[float, np.ndarray, object]:
     """Steady below-buckling speed and direction from a calibration run.
 
-    The run holds omega_low for settle_time + window from the built state;
-    the speed is the head's mean over the window. start continues it from
-    the Integrator of an earlier constant-omega_low run, which it advances
-    in place (stepper.simulate), with bit-identical results.
+    The run holds omega_low for settle_time + CRUISE_WINDOW from the built
+    state; the speed is the head's mean over the window. start continues it
+    from the Integrator of an earlier constant-omega_low run, which it
+    advances in place (stepper.simulate), with bit-identical results.
+    Returns (speed, direction, the run's trajectory); bench/record_reference.py
+    records the trajectory's displacement.
     """
     traj = simulate(params, AngularVelocityProfile.constant(omega_low),
-                    settle_time + window, dt_obs, controls=controls, start=start)
+                    settle_time + CRUISE_WINDOW, dt_obs, controls=controls, start=start)
     i0 = sample_count(settle_time, dt_obs) - 1
     disp = traj.head[-1] - traj.head[i0]
     elapsed = traj.times[-1] - traj.times[i0]
@@ -433,9 +426,8 @@ def measure_cruise(params: PhysicalParameters, omega_low: float,
 def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
                      omega_low: float, omega_high: float,
                      omega_buckling: float,
-                     controls: StepControls | None = None,
-                     dt_obs: float = 0.5, k: int = 10,
-                     workers: int = 1) -> GeneratedDataset:
+                     controls: StepControls | None = None, *,
+                     dt_obs: float, k: int, workers: int = 1) -> GeneratedDataset:
     """Run the pulse protocol over the grid and extract training tuples.
 
     Every trajectory holds omega_low until the pulse at settle_time, so the

@@ -30,7 +30,7 @@ stalls after MAX_NEWTON_ITERS iterations. Like the spectrum's, these are
 constants: StepControls carries only the step size the substeps change.
 
 Cost split of step. Per run (shared through the arguments or cached per
-rod size): the rest configuration with its moduli and lumped masses, and
+rod size): the rest configuration with its stiffnesses and lumped masses, and
 the band positions of the pinned twist DOF. Per step: the committed frames
 (elastic.CommittedFrames), the explicit drift dt v_old, M/dt^2 (dt changes
 with the substep fallback), the hydrodynamic force and the gbsv handle.
@@ -57,7 +57,6 @@ from .elastic import (
     DIAG_ROW,
     CommittedFrames,
     DegenerateEdgeError,
-    ElasticStiffnesses,
     RestConfiguration,
     evaluate_elastics,
     jacobian_from_eval,
@@ -212,12 +211,14 @@ def _pinned_entries(d: int) -> np.ndarray:
                            np.arange(BAND_ROWS) * d + 3, [DIAG_ROW * d + 3]])
 
 
-def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
-         params: PhysicalParameters, omega: float, controls: StepControls,
-         spectrum: tuple[np.ndarray, np.ndarray]) -> tuple[RodState, StepDiagnostics]:
+def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, omega: float,
+         spectrum: tuple[np.ndarray, np.ndarray],
+         controls: StepControls) -> tuple[RodState, StepDiagnostics]:
     """Advance the system one time step under actuation rate omega [rad/s].
 
     spectrum is the clamped mobility spectrum, passed on to external_force.
+    controls stays the sixth positional argument: bench/tracer.py counts
+    substeps by the controls it finds there.
     What depends only on the committed state (its frames, the explicit
     drift dt v_old, the hydrodynamic force) is computed once here and shared
     by every force evaluation of the Newton solve.
@@ -237,7 +238,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
-        ev = evaluate_elastics(pos, th, committed, rest, stiff)
+        ev = evaluate_elastics(pos, th, committed, rest)
         residual = inertia * (q - q_old - drift) - ev.force - f_ext
         residual[3] = 0.0  # theta^0 carries the prescribed rotation: no balance
         return ev, residual, math.sqrt(residual @ residual)
@@ -248,7 +249,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
     # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
     # force-free equilibrium converges immediately.
     scale = max(math.sqrt(f_ext @ f_ext), math.sqrt(ev.force @ ev.force),
-                1e-6 * stiff.stretching)
+                1e-6 * rest.stretching)
     pinned = _pinned_entries(q_old.shape[0])
     dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
     for it in range(MAX_NEWTON_ITERS):
@@ -257,7 +258,7 @@ def step(state: RodState, rest: RestConfiguration, stiff: ElasticStiffnesses,
             break
         # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
         # LU), so its solution is the Newton step negated: q + alpha dq.
-        jac = jacobian_from_eval(ev, rest, stiff)
+        jac = jacobian_from_eval(ev, rest)
         jac[DIAG_ROW] -= inertia
         # Pin the constrained twist DOF: unit row/column; its residual is 0.
         jac.flat[pinned] = 0.0
@@ -310,15 +311,15 @@ class Integrator:
     """The stepping loop every simulation runs: state, samples, cache and fallback.
 
     Owns a copy of the state, the rest configuration (built from params
-    when not given), the stiffnesses, the time step, the step count and the
-    run's samples; time is steps * dt, counted from the given or built
-    state. On a step that fails to converge the integrator drops to half
-    (then quarter) substeps and keeps the reduction for a one-second
-    recovery window before trying the full step again. Only a failure at
-    the finest level propagates, as SimulationError. An edge that collapses
-    or reverses (DegenerateEdgeError, e.g. in step's explicit predictor)
-    takes the same retries. A HydroSolveError (e.g. two nodes closer than
-    the cutoff) becomes SimulationError at once, without substep retries.
+    when not given), the time step, the step count and the run's samples;
+    time is steps * dt, counted from the given or built state. On a step
+    that fails to converge the integrator drops to half (then quarter)
+    substeps and keeps the reduction for a one-second recovery window
+    before trying the full step again. Only a failure at the finest level
+    propagates, as SimulationError. An edge that collapses or reverses
+    (DegenerateEdgeError, e.g. in step's explicit predictor) takes the same
+    retries. A HydroSolveError (e.g. two nodes closer than the cutoff)
+    becomes SimulationError at once, without substep retries.
     copy() forks the run: the fork and the original advance and record
     bit-identically.
 
@@ -340,7 +341,6 @@ class Integrator:
             built = build_initial_configuration(params)
         self.state = state.copy() if state is not None else built
         self.rest = rest if rest is not None else RestConfiguration.from_built_state(params, built)
-        self.stiff = ElasticStiffnesses.from_parameters(params)
         self.steps = 0
         self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
@@ -356,8 +356,8 @@ class Integrator:
     def copy(self) -> "Integrator":
         """An exact fork: state, step count, samples, spectrum cache and fallback window.
 
-        params, controls, rest and stiff are read-only and shared, and so is
-        each sample, which is never changed once recorded.
+        params, controls and rest are read-only and shared, and so is each
+        sample, which is never changed once recorded.
         """
         fork = copy.copy(self)
         fork.state = self.state.copy()
@@ -436,8 +436,7 @@ class Integrator:
                 self._spectrum = None  # release the old spectrum before building the new one
                 self._spectrum = mobility_spectrum(state, self.params)
             self._age += 1
-            state, _ = step(state, self.rest, self.stiff, self.params, omega, controls,
-                            self._spectrum)
+            state, _ = step(state, self.rest, self.params, omega, self._spectrum, controls)
         self.state = state
         if sub > 1 and self._recover == 0:
             self._recover = self._recover_window

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flagsim import (
-    ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
@@ -36,16 +35,14 @@ def desk_params():
 def paper_built(paper_params):
     state = build_initial_configuration(paper_params)
     rest = RestConfiguration.from_built_state(paper_params, state)
-    stiff = ElasticStiffnesses.from_parameters(paper_params)
-    return state, rest, stiff
+    return state, rest
 
 
 @pytest.fixture(scope="session")
 def desk_built(desk_params):
     state = build_initial_configuration(desk_params)
     rest = RestConfiguration.from_built_state(desk_params, state)
-    stiff = ElasticStiffnesses.from_parameters(desk_params)
-    return state, rest, stiff
+    return state, rest
 
 
 def save_json(obj, path):
@@ -53,12 +50,12 @@ def save_json(obj, path):
     path.write_text(json.dumps(obj.to_json_dict(), indent=1, sort_keys=True) + "\n")
 
 
-def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale=0.1):
+def committed_perturbation(state, rest, seed, pos_scale=2e-4, theta_scale=0.1):
     """A perturbed state whose frames are properly transported from the build."""
     rng = np.random.default_rng(seed)
     positions = state.positions + pos_scale * rng.standard_normal(state.positions.shape)
     thetas = state.thetas + theta_scale * rng.standard_normal(state.thetas.shape)
-    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
+    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest)
     out = state.copy()
     out.positions = positions
     out.thetas = thetas
@@ -68,15 +65,15 @@ def committed_perturbation(state, rest, stiff, seed, pos_scale=2e-4, theta_scale
     return out
 
 
-def elastics_at(state, rest, stiff, q=None):
+def elastics_at(state, rest, q=None):
     """evaluate_elastics from a committed state's frames, at its own DOFs or at q."""
     positions, thetas = (state.positions, state.thetas) if q is None else unpack_dofs(q)
-    return evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
+    return evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest)
 
 
-def dense_jacobian(state, rest, stiff):
+def dense_jacobian(state, rest):
     """The elastic force Jacobian at a committed state as a square matrix."""
-    return dense_from_band(jacobian_from_eval(elastics_at(state, rest, stiff), rest, stiff))
+    return dense_from_band(jacobian_from_eval(elastics_at(state, rest), rest))
 
 
 def _band_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,11 +150,11 @@ def flaky_step(real_step, error, every_call=False):
     """
     sizes = []
 
-    def step(state, rest, stiff, params, omega, controls, *args):
+    def step(state, rest, params, omega, spectrum, controls):
         sizes.append(controls.time_step)
         if every_call or sizes == [None]:
             raise error
-        return real_step(state, rest, stiff, params, omega, controls, *args)
+        return real_step(state, rest, params, omega, spectrum, controls)
 
     return step, sizes
 

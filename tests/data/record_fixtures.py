@@ -61,7 +61,6 @@ sys.path.insert(0, str(HERE.parent))
 
 from conftest import committed_perturbation, flaky_step, make_synthetic_dataset  # noqa: E402
 from flagsim import (  # noqa: E402
-    ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
@@ -89,8 +88,7 @@ def record_jacobians() -> dict[str, np.ndarray]:
     params = paper_parameters(node_count=10)
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
-    stiff = ElasticStiffnesses.from_parameters(params)
-    state = committed_perturbation(built, rest, stiff, seed=1)
+    state = committed_perturbation(built, rest, seed=1)
     twisted = state.thetas + 0.3 * np.random.default_rng(2).standard_normal(state.thetas.shape)
     out = {
         "ref_d1": state.ref_d1,
@@ -99,9 +97,8 @@ def record_jacobians() -> dict[str, np.ndarray]:
         "positions": state.positions,
     }
     for name, thetas in (("committed", state.thetas), ("twisted", twisted)):
-        ev = evaluate_elastics(state.positions, thetas, CommittedFrames.from_state(state),
-                               rest, stiff)
-        jac = jacobian_from_eval(ev, rest, stiff)
+        ev = evaluate_elastics(state.positions, thetas, CommittedFrames.from_state(state), rest)
+        jac = jacobian_from_eval(ev, rest)
         out[f"{name}_thetas"] = thetas
         out[f"{name}_force"] = ev.force
         out[f"{name}_energy"] = np.array(ev.energy)
@@ -113,12 +110,11 @@ def record_moved() -> dict[str, np.ndarray]:
     params = paper_parameters(node_count=10)
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
-    stiff = ElasticStiffnesses.from_parameters(params)
-    state = committed_perturbation(built, rest, stiff, seed=1)
+    state = committed_perturbation(built, rest, seed=1)
     rng = np.random.default_rng(3)
     positions = state.positions + 2e-4 * rng.standard_normal(state.positions.shape)
     thetas = state.thetas + 0.2 * rng.standard_normal(state.thetas.shape)
-    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest, stiff)
+    ev = evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest)
     return {
         "ref_d1": state.ref_d1,
         "tangents": state.tangents,
@@ -127,7 +123,7 @@ def record_moved() -> dict[str, np.ndarray]:
         "thetas": thetas,
         "force": ev.force,
         "energy": np.array(ev.energy),
-        "band": jacobian_from_eval(ev, rest, stiff),
+        "band": jacobian_from_eval(ev, rest),
         "d1": ev.d1,
         "moved_ref_twist": ev.ref_twist,
     }

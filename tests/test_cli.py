@@ -19,7 +19,7 @@ from flagsim.cli import (
 from flagsim.config import ConfigError, load_config, preset
 from flagsim.geometry import SteeringDatapoint, polyline_distance
 from flagsim.hydro import HydroSolveError
-from flagsim.learning import MLPModel
+from flagsim.learning import GeneratedDataset, MLPModel
 from flagsim.stepper import StepControls
 
 from conftest import brute_polyline_distance, save_json
@@ -279,6 +279,23 @@ def test_gen_data_spec_validation(tmp_path):
     rc = main(["gen-data", "--config", tiny_config(tmp_path), "--spec", str(spec),
                "--out", str(tmp_path / "d.csv")])
     assert rc == 1
+
+
+def test_gen_data_meta_copies_the_spec_without_a_seed(tmp_path, monkeypatch):
+    # generation draws no random numbers: _meta.json keeps the spec as given
+    # and adds no seed of its own
+    def generate(*args, **kwargs):
+        return GeneratedDataset([], [], 1e-4, np.array([1.0, 0.0, 0.0]))
+
+    monkeypatch.setattr("flagsim.cli.generate_dataset", generate)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GEN_SPEC))
+    rc = main(["gen-data", "--config", tiny_config(tmp_path), "--spec", str(spec),
+               "--out", str(tmp_path / "d.csv")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "d_meta.json").read_text())
+    assert "seed" not in meta
+    assert meta["spec"] == GEN_SPEC
 
 
 @pytest.mark.parametrize("spec", [

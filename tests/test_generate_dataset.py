@@ -122,10 +122,10 @@ def failing_step(fails):
     """stepper.step that raises HydroSolveError where fails(state, omega) holds."""
     real_step = stepper.step
 
-    def step(state, rest, stiff, params, omega, controls, *args):
+    def step(state, rest, params, omega, spectrum, controls):
         if fails(state, omega):
             raise HydroSolveError("injected")
-        return real_step(state, rest, stiff, params, omega, controls, *args)
+        return real_step(state, rest, params, omega, spectrum, controls)
 
     return step
 

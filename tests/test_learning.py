@@ -39,21 +39,6 @@ def test_sincos_benchmark():
     assert rmse < 1e-2
 
 
-def test_duplicated_dataset_equivalence():
-    # doubling every sample with the data weight halved reproduces the fit
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-1, 1, size=(60, 2))
-    y = np.sin(2 * x[:, 0]) + 0.5 * x[:, 1]
-    base = TrainControls(seed=6, max_epochs=80, validation_fraction=0.0,
-                         fixed_regularization=(1e-4, 1.0))
-    doubled = TrainControls(seed=6, max_epochs=80, validation_fraction=0.0,
-                            fixed_regularization=(1e-4, 0.5))
-    r1 = train_regressor(x, y, base)
-    r2 = train_regressor(np.vstack([x, x]), np.concatenate([y, y]), doubled)
-    probe = rng.uniform(-1, 1, size=(50, 2))
-    assert np.abs(r1.model.predict(probe) - r2.model.predict(probe)).max() <= 1e-6
-
-
 def test_training_determinism(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, size=(50, 2))
@@ -186,3 +171,7 @@ def test_train_rejects_small_or_bad_input():
     y[0] = np.nan
     with pytest.raises(ValueError):
         train_regressor(x, y)
+    # one map has one output: a 2-D target array is rejected, one column or two
+    for targets in (np.zeros((25, 1)), np.zeros((25, 2))):
+        with pytest.raises(ValueError, match="one value per input row"):
+            train_regressor(x, targets)

@@ -21,7 +21,6 @@ import pytest
 
 from conftest import count_spectra, flaky_step, make_synthetic_dataset
 from flagsim import (
-    ElasticStiffnesses,
     RestConfiguration,
     build_initial_configuration,
     desk_parameters,
@@ -53,10 +52,9 @@ def test_elastic_kernel_matches_recorded(case):
     params = paper_parameters(node_count=10)
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
-    stiff = ElasticStiffnesses.from_parameters(params)
     committed = CommittedFrames.of(ref["ref_d1"], ref["tangents"], ref["ref_twist"])
-    ev = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], committed, rest, stiff)
-    jac = jacobian_from_eval(ev, rest, stiff)
+    ev = evaluate_elastics(ref["positions"], ref[f"{case}_thetas"], committed, rest)
+    jac = jacobian_from_eval(ev, rest)
     assert relative_error(jac, ref[f"{case}_band"]) <= 1e-12
     assert relative_error(ev.force, ref[f"{case}_force"]) <= 1e-12
     assert ev.energy == pytest.approx(float(ref[f"{case}_energy"]), rel=1e-12)
@@ -69,13 +67,12 @@ def test_elastic_kernel_matches_recorded_off_the_committed_frames():
     params = paper_parameters(node_count=10)
     built = build_initial_configuration(params)
     rest = RestConfiguration.from_built_state(params, built)
-    stiff = ElasticStiffnesses.from_parameters(params)
     committed = CommittedFrames.of(ref["ref_d1"], ref["tangents"], ref["ref_twist"])
-    ev = evaluate_elastics(ref["positions"], ref["thetas"], committed, rest, stiff)
+    ev = evaluate_elastics(ref["positions"], ref["thetas"], committed, rest)
     assert relative_error(ev.d1, ref["d1"]) <= 1e-12
     assert relative_error(ev.ref_twist, ref["moved_ref_twist"]) <= 1e-12
     assert relative_error(ev.force, ref["force"]) <= 1e-12
-    assert relative_error(jacobian_from_eval(ev, rest, stiff), ref["band"]) <= 1e-12
+    assert relative_error(jacobian_from_eval(ev, rest), ref["band"]) <= 1e-12
     assert ev.energy == pytest.approx(float(ref["energy"]), rel=1e-12)
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flagsim import build_initial_configuration, paper_parameters
-from flagsim.elastic import ElasticStiffnesses, RestConfiguration
 from flagsim.params import PhysicalParameters
 from flagsim.rod import (
     DegenerateEdgeError,
@@ -40,13 +39,13 @@ def test_minimal_rod_counts():
 
 
 def test_built_state_is_stress_free(paper_built, paper_params):
-    state, rest, stiff = paper_built
-    f = elastics_at(state, rest, stiff).force
+    state, rest = paper_built
+    f = elastics_at(state, rest).force
     assert np.linalg.norm(f) < 1e-10 * paper_params.youngs_modulus * paper_params.rod_radius ** 2
 
 
 def test_built_edges_are_uniform(paper_built, paper_params):
-    state, _, _ = paper_built
+    state, _ = paper_built
     lengths = np.linalg.norm(state.edges, axis=1)
     assert lengths[0] == pytest.approx(paper_params.head_radius, abs=1e-15)
     assert np.allclose(lengths[1:], paper_params.edge_length, atol=1e-12)
@@ -67,7 +66,7 @@ def test_build_is_deterministic(paper_params):
 
 
 def test_pack_unpack_roundtrip(paper_built):
-    state, _, _ = paper_built
+    state, _ = paper_built
     q = pack_dofs(state.positions, state.thetas)
     pos, th = unpack_dofs(q)
     assert np.array_equal(pos, state.positions)
@@ -79,7 +78,7 @@ def test_pack_unpack_roundtrip(paper_built):
 
 
 def test_frames_adapted_and_orthonormal(paper_built):
-    state, _, _ = paper_built
+    state, _ = paper_built
     t = state.tangents
     for d in (state.ref_d1, state.ref_d2):
         assert np.abs(np.sum(d * t, axis=1)).max() <= 1e-12

@@ -57,8 +57,8 @@ def test_node_separation_failure_is_simulation_error(monkeypatch):
 def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built):
     # Every Newton correction from the band solve equals a dense solve of the
     # same matrix.
-    _, rest, stiff = desk_built
-    state = committed_perturbation(desk_built[0], rest, stiff, seed=3)
+    _, rest = desk_built
+    state = committed_perturbation(desk_built[0], rest, seed=3)
     solves = []
     get_lapack_funcs = stepper.get_lapack_funcs
 
@@ -74,8 +74,8 @@ def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built)
 
     monkeypatch.setattr(stepper, "get_lapack_funcs", recording)
     omega = 3 * 2 * math.pi / 60
-    _, diag = step(state, rest, stiff, desk_params, omega, StepControls(),
-                   stepper.mobility_spectrum(state, desk_params))
+    _, diag = step(state, rest, desk_params, omega,
+                   stepper.mobility_spectrum(state, desk_params), StepControls())
     assert diag.converged and len(solves) == diag.iterations >= 1
     for dense, rhs, dq in solves:
         np.testing.assert_allclose(dq, np.linalg.solve(dense, rhs), rtol=1e-10)
@@ -255,9 +255,9 @@ def test_collapsing_predictor_takes_substeps(monkeypatch):
     params = desk_parameters(node_count=16, time_step=0.005)
     sizes = []
 
-    def recording(state, rest, stiff, params, omega, controls, *args):
+    def recording(state, rest, params, omega, spectrum, controls):
         sizes.append(controls.time_step)
-        return step(state, rest, stiff, params, omega, controls, *args)
+        return step(state, rest, params, omega, spectrum, controls)
 
     monkeypatch.setattr(stepper, "step", recording)
     integrator = stepper.Integrator(params, state=_carry_node5_onto_node6(params, 1.0))
