@@ -16,6 +16,14 @@ calibration) or a positive finite number.
 control's trajectory reads omega 0 for one observation interval after
 start-up: the controller's first plan starts one sample after the start-up
 schedule ends (see control.Controller).
+
+Input formats (JSON objects; an unknown key is an input error):
+- simulate --profile: {"breakpoints_rpm": [[t_s, rpm], ...]}, a
+  piecewise-constant, right-continuous motor rate with strictly increasing
+  times (default: the config's omega_low_rpm throughout).
+- gen-data --spec: total_time_s and t_high_grid_s (the pulse durations)
+  are required; settle_time_s defaults to the config's startup_time_s and
+  segments_per_trajectory to 8; seed is a label (nothing is random).
 """
 
 from __future__ import annotations
@@ -162,15 +170,11 @@ def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.preset)
     with open(args.spec) as fh:
         raw = json.load(fh)
-    parse_section(raw, DatasetSpec, _SPEC_KEYS, "spec")  # every value present has its field's type
+    values = {"settle_time": cfg.control.startup_time,
+              **parse_section(raw, DatasetSpec, _SPEC_KEYS, "spec")}
     try:
-        spec = DatasetSpec(
-            total_time=float(raw["total_time_s"]),
-            t_high_grid=tuple(float(v) for v in raw["t_high_grid_s"]),
-            settle_time=float(raw.get("settle_time_s", cfg.control.startup_time)),
-            **{k: raw[k] for k in ("segments_per_trajectory", "seed") if k in raw},
-        )
-    except (KeyError, ValueError) as exc:
+        spec = DatasetSpec(**{**values, "t_high_grid": tuple(values["t_high_grid"])})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad dataset spec: {type(exc).__name__}: {exc}") from exc
     try:
         out = generate_dataset(
@@ -357,14 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the forward dynamics")
     common(p)
-    p.add_argument("--profile", default=None, help="JSON actuation schedule")
+    p.add_argument("--profile", default=None,
+                   help="JSON actuation schedule (format: see the flagsim.cli docstring)")
     p.add_argument("--duration", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gen-data", help="generate the steering dataset")
     common(p)
-    p.add_argument("--spec", required=True, help="JSON dataset spec")
+    p.add_argument("--spec", required=True,
+                   help="JSON dataset spec (format: see the flagsim.cli docstring)")
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_gen_data)

@@ -6,7 +6,8 @@ twisting (Bergou et al., "Discrete elastic rods", SIGGRAPH 2008). Forces
 are negative energy gradients on the interleaved DOF vector
 [x_0, theta^0, x_1, theta^1, ..., x_{N-1}]; the Jacobian is the negated
 energy Hessian. Natural (stress-free) strains are recorded from the
-as-built configuration.
+as-built configuration. No step reads the energy itself, so only the
+tests write it out (tests/conftest.py, der_energy).
 
 Each bend/twist term touches the 11 consecutive DOFs
 [x_{i-1}, theta^{i-1}, x_i, theta^i, x_{i+1}], so the Hessian has
@@ -76,9 +77,8 @@ coarsest level it allows:
   reference twist;
 - once per evaluation: one set of minimal rotations carries the committed
   edges onto the candidate ones and each edge onto its neighbour (the
-  second set also gives chi and kb); the pieces the force, the Jacobian
-  and the energy share are cached on the ElasticEval, and the energy is
-  only computed when read.
+  second set also gives chi and kb); the pieces the force and the
+  Jacobian share are cached on the ElasticEval.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ from .rod import (
     DegenerateEdgeError,
     RodState,
     cross_rows,
+    node_dof_indices,
     rotate_directors,
     skew_rows,
     transport_rotations,
@@ -121,7 +122,7 @@ class RestConfiguration:
         voronoi = 0.5 * (lengths[:-1] + lengths[1:])
         tangents = state.tangents
         _, chi, b = transport_rotations(tangents[:-1], tangents[1:])
-        material = np.stack(state.material_frames(), axis=1)
+        material = rotate_directors(np.stack((state.ref_d1, state.ref_d2), axis=1), state.thetas)
         kappa = _stencil_curvature(chi, b, material)[-1]
         twist = state.thetas[1:] - state.thetas[:-1] + state.ref_twist
 
@@ -144,9 +145,9 @@ class RestConfiguration:
         edge_inertia = 0.5 * (rho_a * lengths) * r2
 
         mass = np.empty(4 * n - 1)
-        idx = np.arange(n)
-        mass[4 * idx[:, None] + np.arange(3)] = node_mass[:, None]
-        mass[4 * np.arange(n - 1) + 3] = edge_inertia
+        pos_idx, theta_idx = node_dof_indices(n)
+        mass[pos_idx] = node_mass[:, None]
+        mass[theta_idx] = edge_inertia
         return cls(
             edge_lengths=lengths,
             voronoi_lengths=voronoi,
@@ -185,8 +186,8 @@ class CommittedFrames:
 class ElasticEval:
     """Elastic forces at a candidate configuration, plus the adapted frames.
 
-    Carries the geometric intermediates so the Jacobian (and the energy, on
-    demand) can be computed later without re-evaluating the configuration.
+    Carries the geometric intermediates so the Jacobian can be computed
+    later without re-evaluating the configuration.
     """
 
     force: np.ndarray        # (4N-1,)
@@ -196,13 +197,6 @@ class ElasticEval:
     ref_twist: np.ndarray    # (N-2,)
     edge_lengths: np.ndarray
     _cache: dict | None = None
-
-    @property
-    def energy(self) -> float:
-        """Stretch plus bend/twist energy; the Newton solve never reads it."""
-        c = self._cache
-        energy = 0.5 * (c["w"] * c["strain"]).sum()
-        return energy + 0.5 * c["ea"] * (c["stretch"] * c["stretch"] * c["rest_lengths"]).sum()
 
 
 def _check_edges(lengths: np.ndarray, min_edge: float) -> None:
@@ -320,8 +314,7 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
     # gets edge i-1's minus edge i's. Edge j's twist angle gets the a part
     # of stencil j and the b part of stencil j - 1. The force is minus the
     # gradient.
-    stretch = lengths / rest.edge_lengths - 1.0
-    tension = rest.stretching * stretch
+    tension = rest.stretching * (lengths / rest.edge_lengths - 1.0)
     per_edge = np.zeros((n + 1, 3))
     per_edge[1:-2] = grad_x[:, 0]
     per_edge[2:-1] += grad_x[:, 1]
@@ -337,9 +330,7 @@ def evaluate_elastics(positions, thetas, committed: CommittedFrames,
 
     cache = dict(te=te, tf=tf, chi=chi, kb=kb, frames=frames, proj=proj, kappa=kappa,
                  t_tilde=t_tilde, turned=turned, sides=sides, g=g, w=w, big_k=big_k, kb_a=kb_a,
-                 half_wt_kb=half_wt_kb, grad_x=grad_x, tension=tension, n=n,
-                 strain=strain, stretch=stretch, ea=rest.stretching,
-                 rest_lengths=rest.edge_lengths)
+                 half_wt_kb=half_wt_kb, grad_x=grad_x, tension=tension, n=n)
     return ElasticEval(
         force=force[:-1],
         tangents=tangents,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rod import transport_rotations
+
 
 class GeometryError(ValueError):
     """Base for geometric degeneracies; callers defer or retry in a rotated frame."""
@@ -48,10 +50,6 @@ class LineFit:
     a3: float
     a4: float
     residual: float  # [m^2]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.a3, self.a4])
 
 
 @dataclass(frozen=True)
@@ -196,32 +194,6 @@ def desired_parameters(x0: np.ndarray, p1_hat: np.ndarray, p2: np.ndarray,
     return DesiredManeuver(h=h, l=l, alpha=alpha, beta=beta)
 
 
-def rotation_to_x(direction: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking the given direction onto +x (for fit fallbacks)."""
-    d = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(d)
-    if norm <= 0.0:
-        raise ValueError("zero direction")
-    d = d / norm
-    x = np.array([1.0, 0.0, 0.0])
-    vcross = np.cross(d, x)
-    s = np.linalg.norm(vcross)
-    c = float(np.dot(d, x))
-    if s <= 1e-15:
-        if c > 0.0:
-            return np.eye(3)
-        # 180-degree flip about y
-        return np.diag([-1.0, 1.0, -1.0])
-    axis = vcross / s
-    kx = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    angle = math.atan2(s, c)
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
 def constrained_after_fit(fit_before: LineFit, end_point: np.ndarray,
                           samples: np.ndarray) -> LineFit:
     """After-turn line through the endpoint, coplanar with the before-line.
@@ -340,13 +312,18 @@ def parameterize_segment(samples: np.ndarray, x1_t0: np.ndarray, x2_t0: np.ndarr
 def in_x_frame(fit, samples: np.ndarray, *points: np.ndarray):
     """fit(samples, *points); on DegenerateFitError, once more in a rotated frame.
 
-    Every argument is rotated by rotation_to_x(samples[-1] - samples[0]), so
-    the samples run along +x. fit must return rotation-invariant results.
+    The retry rotates every argument by the minimal rotation
+    (rod.transport_rotations) taking the unit d along samples[-1] - samples[0]
+    onto s x, with s = copysign(1, d_x) the sign of the nearer x-direction,
+    so the samples run along the x-axis. As 1 + d.(s x) >= 1, the rotation
+    always exists. fit must return rotation-invariant results.
     """
     try:
         return fit(samples, *points)
     except DegenerateFitError:
-        rot = rotation_to_x(samples[-1] - samples[0])
+        d = samples[-1] - samples[0]
+        d = d / np.linalg.norm(d)
+        rot = transport_rotations(d, np.array([math.copysign(1.0, d[0]), 0.0, 0.0]))[0]
         return fit(samples @ rot.T, *(rot @ p for p in points))
 
 

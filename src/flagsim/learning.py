@@ -433,10 +433,9 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     Every trajectory holds omega_low until the pulse at settle_time, so the
     settle, up to the last observation sample at or before settle_time, is
     run once. Each grid entry continues from an exact copy of it
-    (Integrator.copy), except the first t_H = 0 entry, which continues the
-    settle run itself; the cruise calibration then continues that entry's
-    run (or the settle, when the grid has no 0). Every trajectory is
-    bit-identical to a fresh run of its profile from t = 0, and
+    (Integrator.copy). The cruise calibration continues the run of the
+    first t_H = 0 entry that completed, or else the settle. Every trajectory
+    is bit-identical to a fresh run of its profile from t = 0, and
     learning.simulate is called once per grid entry, in grid order, then
     once for the calibration, each call returning the trajectory from t = 0.
     Segments with different end points become individual datapoints.
@@ -459,7 +458,6 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     rejections: list = []
 
     grid = [float(t_high) for t_high in spec.t_high_grid]
-    owner = grid.index(0.0) if 0.0 in grid else None
     settle = Integrator(params, controls)
     try:
         settle.observe(AngularVelocityProfile.constant(omega_low),
@@ -467,12 +465,10 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
     except Exception as exc:  # every grid entry shares the settle
         settle, results = None, [exc] * len(grid)
     else:
-        # Every fork is taken before the owner advances the settle run.
-        forks = [settle if i == owner else settle.copy() for i in range(len(grid))]
-        jobs = [(fork,
+        jobs = [(settle.copy(),
                  AngularVelocityProfile.pulse(omega_low, omega_high, spec.settle_time, t_high),
                  spec.total_time, dt_obs)
-                for fork, t_high in zip(forks, grid)]
+                for t_high in grid]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_pulse_job, jobs))
@@ -488,14 +484,12 @@ def generate_dataset(params: PhysicalParameters, spec: DatasetSpec,
         datapoints.extend(points)
         rejections.extend(rejected)
 
-    # The calibration is the constant-omega_low run again: it continues the
-    # unpulsed entry, or the settle when the grid has no 0. After a failed
-    # run it starts over from t = 0 and meets the same failure if that lies
-    # within its length.
-    if settle is None or (owner is not None and isinstance(results[owner], Exception)):
-        start = None
-    else:
-        start = settle if owner is None else results[owner][0]
+    # The calibration is the constant-omega_low run again: it continues a
+    # completed unpulsed entry, or else the settle, so it meets a failed
+    # unpulsed entry's failure if that lies within its length. After a
+    # failed settle it starts over from t = 0.
+    start = next((result[0] for t_high, result in zip(grid, results)
+                  if t_high == 0.0 and not isinstance(result, Exception)), settle)
     speed, direction, _ = measure_cruise(params, omega_low, controls,
                                          spec.settle_time, dt_obs, start=start)
     return GeneratedDataset(datapoints=datapoints, rejections=rejections,

@@ -56,9 +56,6 @@ class RodState:
     def dof_vector(self) -> np.ndarray:
         return pack_dofs(self.positions, self.thetas)
 
-    def material_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        return material_frames(self.ref_d1, self.ref_d2, self.thetas)
-
     def copy(self) -> "RodState":
         return RodState(
             positions=self.positions.copy(),
@@ -176,14 +173,6 @@ def rotate_directors(frames: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     c = np.cos(thetas)[..., None, None]
     s = np.sin(thetas)[..., None, None]
     return c * frames + s * (frames[..., ::-1, :] * _QUARTER_TURN)
-
-
-def material_frames(
-    ref_d1: np.ndarray, ref_d2: np.ndarray, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate reference directors by the twist angles about the tangents."""
-    m = rotate_directors(np.stack((ref_d1, ref_d2), axis=-2), thetas)
-    return m[..., 0, :], m[..., 1, :]
 
 
 def twist_turns(ref_twist: np.ndarray) -> np.ndarray:

@@ -91,7 +91,6 @@ class StepControls:
 @dataclass
 class StepDiagnostics:
     iterations: int = 0
-    converged: bool = False
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,6 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
         return ev, residual, math.sqrt(residual @ residual)
 
     diag = StepDiagnostics()
-    converged = False
     ev, residual, rnorm = force_eval(q_new)
     # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
     # force-free equilibrium converges immediately.
@@ -254,7 +252,6 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
     dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
     for it in range(MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL * scale:
-            converged = True
             break
         # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
         # LU), so its solution is the Newton step negated: q + alpha dq.
@@ -287,13 +284,11 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
             raise NewtonDivergenceError("line search failed on every step length", diag)
         q_new, ev, residual, rnorm = best
         diag.iterations = it + 1
-
-    if not converged:
+    else:
         raise NewtonDivergenceError(
             f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL * scale:.3e}) "
             f"after {MAX_NEWTON_ITERS} iterations", diag,
         )
-    diag.converged = converged
 
     pos_new, th_new = unpack_dofs(q_new)
     new_state = RodState(

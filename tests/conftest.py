@@ -71,6 +71,35 @@ def elastics_at(state, rest, q=None):
     return evaluate_elastics(positions, thetas, CommittedFrames.from_state(state), rest)
 
 
+def der_energy(ev, thetas, rest):
+    """Oracle: the discrete elastic rod energy at an evaluated configuration.
+
+    Written from the definitions (Bergou et al. 2008) apart from
+    flagsim.elastic's kernels. Per edge the stretch energy is
+    (EA/2) l0 (l/l0 - 1)^2. At each internal node, with the material
+    directors m1 = cos(theta) d1 + sin(theta) d2 and
+    m2 = cos(theta) d2 - sin(theta) d1, the curvature binormal
+    kb = 2 t_e x t_f / (1 + t_e.t_f) gives the curvatures
+    k1 = kb.(m2_e + m2_f)/2 and k2 = -kb.(m1_e + m1_f)/2, and the twist is
+    tau = theta_f - theta_e + the reference twist. The bend and twist
+    energy is (1/2) (EI, EI, GJ)/l_vor times the squared departures of
+    (k1, k2, tau) from the rest values. ev supplies the tangents, the
+    transported reference directors (d1, d2) and the reference twist.
+    """
+    t = ev.tangents
+    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    m1 = c * ev.d1 + s * ev.d2
+    m2 = c * ev.d2 - s * ev.d1
+    kb = 2.0 * np.cross(t[:-1], t[1:]) / (1.0 + np.sum(t[:-1] * t[1:], axis=1))[:, None]
+    k1 = 0.5 * np.sum(kb * (m2[:-1] + m2[1:]), axis=1)
+    k2 = -0.5 * np.sum(kb * (m1[:-1] + m1[1:]), axis=1)
+    tau = thetas[1:] - thetas[:-1] + ev.ref_twist
+    strain = np.column_stack((k1 - rest.kappa[:, 0], k2 - rest.kappa[:, 1], tau - rest.twist))
+    stretch = ev.edge_lengths / rest.edge_lengths - 1.0
+    return (0.5 * np.sum(rest.moduli * strain ** 2)
+            + 0.5 * rest.stretching * np.sum(rest.edge_lengths * stretch ** 2))
+
+
 def dense_jacobian(state, rest):
     """The elastic force Jacobian at a committed state as a square matrix."""
     return dense_from_band(jacobian_from_eval(elastics_at(state, rest), rest))

@@ -42,6 +42,9 @@ paper_cruise.npz on the child of commit ad59413, the last revision that
 rebuilt the spectrum every 8 steps rather than every 40 ms (it was
 recorded before at commit a74f3fa); fallback_tiny.npz at commit b17636b,
 the last revision that built a new spectrum for every substep.
+The energies in the two kernel fixtures were recorded from the kernel's own
+energy, which the kernel no longer computes; a re-recording takes them
+from conftest.der_energy, which agrees to about 1e-16 relative.
 Re-record only after a deliberate change to the physics or the trainer.
 Name fixtures to record only those:
 
@@ -59,7 +62,12 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from conftest import committed_perturbation, flaky_step, make_synthetic_dataset  # noqa: E402
+from conftest import (  # noqa: E402
+    committed_perturbation,
+    der_energy,
+    flaky_step,
+    make_synthetic_dataset,
+)
 from flagsim import (  # noqa: E402
     RestConfiguration,
     build_initial_configuration,
@@ -101,7 +109,7 @@ def record_jacobians() -> dict[str, np.ndarray]:
         jac = jacobian_from_eval(ev, rest)
         out[f"{name}_thetas"] = thetas
         out[f"{name}_force"] = ev.force
-        out[f"{name}_energy"] = np.array(ev.energy)
+        out[f"{name}_energy"] = np.array(der_energy(ev, thetas, rest))
         out[f"{name}_band"] = jac
     return out
 
@@ -122,7 +130,7 @@ def record_moved() -> dict[str, np.ndarray]:
         "positions": positions,
         "thetas": thetas,
         "force": ev.force,
-        "energy": np.array(ev.energy),
+        "energy": np.array(der_energy(ev, thetas, rest)),
         "band": jacobian_from_eval(ev, rest),
         "d1": ev.d1,
         "moved_ref_twist": ev.ref_twist,

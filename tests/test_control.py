@@ -234,9 +234,9 @@ def test_turn_decided_in_rotated_frame(monkeypatch):
     # line fit has no x-spread and decide() retries in a frame rotated onto
     # x. The logged plan must be the unrotated scene's.
     rotations = []
-    rotation_to_x = geometry.rotation_to_x
-    monkeypatch.setattr(geometry, "rotation_to_x",
-                        lambda d: rotations.append(d) or rotation_to_x(d))
+    transport_rotations = geometry.transport_rotations
+    monkeypatch.setattr(geometry, "transport_rotations",
+                        lambda d, x: rotations.append(d) or transport_rotations(d, x))
     cfg = make_config()
     t = 30.0
     x0 = np.array([cfg.cruise_speed * t, 0, 0])

@@ -142,6 +142,23 @@ def test_failures_are_rejected_per_entry(monkeypatch, coarse):
 
     monkeypatch.setattr(learning, "measure_cruise", recording_cruise)
 
+    # An unpulsed entry that fails after the settle is rejected. The
+    # calibration then continues the settle and meets the same failure:
+    # both runs reach the state of t = 5 s bit for bit, and fail there.
+    reference = stepper.Integrator(coarse)
+    reference.observe(stepper.AngularVelocityProfile.constant(LOW), 11, DT_OBS)
+    failing = reference.state.positions
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "step",
+                  failing_step(lambda state, omega: np.array_equal(state.positions, failing)))
+        with pytest.raises(SimulationError, match="step at t=5.000000s: injected"):
+            run(coarse, spec)
+        assert cruise_starts[-1].time == 5.0  # the settle, advanced from 4 s to the failure
+        m.setattr(learning, "measure_cruise", lambda *args, **kwargs: (0.0, None, None))
+        out = run(coarse, spec)
+    assert [(r.t_high, r.reason) for r in out.rejections if math.isnan(r.t_end)] == [
+        (0.0, "simulation failed: step at t=5.000000s: injected")]
+
     # A failed pulse rejects its own entry; the unpulsed entry and the
     # calibration continuing it are unaffected.
     monkeypatch.setattr(stepper, "step", failing_step(lambda state, omega: omega > BUCKLING))
