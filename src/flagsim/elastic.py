@@ -12,7 +12,7 @@ tests write it out (tests/conftest.py, der_energy).
 Each bend/twist term touches the 11 consecutive DOFs
 [x_{i-1}, theta^{i-1}, x_i, theta^i, x_{i+1}], so the Hessian has
 bandwidth 10 (BANDWIDTH). The Jacobian is assembled straight into LAPACK
-general band storage, the (3*BANDWIDTH + 1, 4N-1) array that gbsv takes
+general band storage, the (3*BANDWIDTH + 1, 4N-1) array that gbtrf takes
 with kl = ku = BANDWIDTH: entry a[i, j] sits at [2*BANDWIDTH + i - j, j],
 and the top BANDWIDTH rows are left zero for the LU fill-in.
 
@@ -395,7 +395,7 @@ def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration) -> np.ndarray:
     """Elastic force Jacobian from a cached evaluation, in LAPACK band storage.
 
     The Jacobian (the negated energy Hessian) couples DOFs at most BANDWIDTH
-    apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbsv takes
+    apart, so it is returned as the (BAND_ROWS, 4N-1) array that gbtrf takes
     with kl = ku = BANDWIDTH: a[i, j] sits at [DIAG_ROW + i - j, j], and the
     first BANDWIDTH rows are zero (LU fill-in space). Each stencil's
     bend/twist Hessian (see the module docstring) gets the stretch block of
@@ -426,7 +426,7 @@ def jacobian_from_eval(ev: ElasticEval, rest: RestConfiguration) -> np.ndarray:
 
 
 BANDWIDTH = 10  # the 11-DOF bend/twist stencil couples DOFs at most 10 apart
-BAND_ROWS = 3 * BANDWIDTH + 1  # gbsv storage: kl = ku = BANDWIDTH plus kl LU fill rows
+BAND_ROWS = 3 * BANDWIDTH + 1  # gbtrf storage: kl = ku = BANDWIDTH plus kl LU fill rows
 DIAG_ROW = 2 * BANDWIDTH  # band row of the main diagonal
 
 

@@ -25,19 +25,33 @@ which the full step and the fallback substeps share, and rebuilds it every
 MOBILITY_REFRESH seconds of simulated time: once per
 round(MOBILITY_REFRESH / dt) steps, each substep counting as one.
 
-Newton stops at a residual norm of NEWTON_TOL times the force scale and
-stalls after MAX_NEWTON_ITERS iterations. Like the spectrum's, these are
-constants: StepControls carries only the step size the substeps change.
+Newton is simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8):
+each correction is one back-substitution with LU factors (dgbtrf) of the
+band Newton matrix J - M/dt^2, which step takes from its caller and
+returns. A correction from old factors is taken whole if it lowers the
+residual. Otherwise, and when there are no factors, when theirs were made
+at another dt, or when a correction is not below half the one before,
+step refactors at the current iterate and runs the damped line search.
+Newton stops at a residual norm of NEWTON_TOL times the force scale, or,
+after at least one correction, once the next correction is at most
+NEWTON_STOP times the step's implicit change |q - q_pred|, where
+q_pred = q_old + dt v_old is the explicit predictor Newton starts from:
+that change is twice the step's local-error estimate, so iterating further
+buys no accuracy. It stalls after MAX_NEWTON_ITERS iterations. Like the
+spectrum's, these are constants: StepControls carries only the step size
+the substeps change.
 
 Cost split of step. Per run (shared through the arguments or cached per
 rod size): the rest configuration with its stiffnesses and lumped masses, and
 the band positions of the pinned twist DOF. Per step: the committed frames
 (elastic.CommittedFrames), the explicit drift dt v_old, M/dt^2 (dt changes
-with the substep fallback), the hydrodynamic force and the gbsv handle.
-Per force evaluation: the elastic force and the residual, whose pinned
-entry is zeroed so its norm needs no masked copy; per Newton iteration:
-the band Jacobian, solved in place. Nothing else is kept between steps,
-so Integrator.copy forks a run exactly.
+with the substep fallback) and the hydrodynamic force. Per force
+evaluation: the elastic force and the residual, whose pinned entry is
+zeroed so its norm needs no masked copy; per Newton iteration: one band
+back-substitution, plus one more for the stop test. Per refactoring, about
+once per spectrum: the band Jacobian and its LU factors. The factors are
+the only thing kept between steps; Integrator keeps them, so
+Integrator.copy forks a run exactly.
 """
 
 from __future__ import annotations
@@ -79,6 +93,7 @@ MOBILITY_FLOOR = 0.25  # spectral floor of the drag solve, as a fraction of the 
 MOBILITY_REFRESH = 0.04  # simulated seconds between spectrum rebuilds in Integrator
 NEWTON_TOL = 1e-6      # Newton's force-residual tolerance, relative to the force scale
 MAX_NEWTON_ITERS = 50  # Newton iterations before a step counts as stalled
+NEWTON_STOP = 0.05     # stop once a correction is this fraction of the step's implicit change
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,7 @@ class StepControls:
 @dataclass
 class StepDiagnostics:
     iterations: int = 0
+    factors: tuple | None = None  # the (lu, piv, dt) the solve ended with
 
 
 @dataclass(frozen=True)
@@ -211,13 +227,15 @@ def _pinned_entries(d: int) -> np.ndarray:
 
 
 def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, omega: float,
-         spectrum: tuple[np.ndarray, np.ndarray],
-         controls: StepControls) -> tuple[RodState, StepDiagnostics]:
+         spectrum: tuple[np.ndarray, np.ndarray], controls: StepControls,
+         factors: tuple | None) -> tuple[RodState, StepDiagnostics]:
     """Advance the system one time step under actuation rate omega [rad/s].
 
     spectrum is the clamped mobility spectrum, passed on to external_force.
     controls stays the sixth positional argument: bench/tracer.py counts
-    substeps by the controls it finds there.
+    substeps by the controls it finds there. factors are the LU factors
+    (lu, piv, dt) of a Newton matrix from an earlier step, or None; the
+    factors the solve ended with come back on the diagnostics.
     What depends only on the committed state (its frames, the explicit
     drift dt v_old, the hydrodynamic force) is computed once here and shared
     by every force evaluation of the Newton solve.
@@ -232,8 +250,9 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
 
     f_ext = external_force(state, params, spectrum)
 
-    q_new = q_old + drift
-    q_new[3] = q_old[3] + omega * dt
+    q_pred = q_old + drift
+    q_pred[3] = q_old[3] + omega * dt
+    q_new = q_pred
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
@@ -249,10 +268,9 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
     scale = max(math.sqrt(f_ext @ f_ext), math.sqrt(ev.force @ ev.force),
                 1e-6 * rest.stretching)
     pinned = _pinned_entries(q_old.shape[0])
-    dgbsv = get_lapack_funcs(("gbsv",), (q_old,))[0]
-    for it in range(MAX_NEWTON_ITERS):
-        if rnorm <= NEWTON_TOL * scale:
-            break
+    dgbtrf, dgbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (q_old,))
+
+    def factor(ev):
         # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
         # LU), so its solution is the Newton step negated: q + alpha dq.
         jac = jacobian_from_eval(ev, rest)
@@ -260,35 +278,66 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
         # Pin the constrained twist DOF: unit row/column; its residual is 0.
         jac.flat[pinned] = 0.0
         jac[DIAG_ROW, 3] = 1.0
-        _, _, dq, info = dgbsv(BANDWIDTH, BANDWIDTH, jac, residual, overwrite_ab=1, overwrite_b=1)
+        lu, piv, info = dgbtrf(jac, BANDWIDTH, BANDWIDTH, overwrite_ab=1)
         if info != 0:
-            raise NewtonDivergenceError(f"singular Newton system (dgbsv info={info})", diag)
+            raise NewtonDivergenceError(f"singular Newton system (dgbtrf info={info})", diag)
+        return lu, piv, dt
 
-        # Backtracking on the residual norm.
-        alpha = 1.0
-        best = None
-        for _ in range(10):
-            q_try = q_new + alpha * dq
-            q_try[3] = q_new[3]
-            try:
-                trial = force_eval(q_try)
-            except DegenerateEdgeError:
-                alpha *= 0.5
-                continue
-            if best is None or trial[2] < best[3]:
-                best = (q_try, trial[0], trial[1], trial[2])
-            if trial[2] < rnorm:
+    def correction(factors, residual):
+        dq, _ = dgbtrs(factors[0], BANDWIDTH, BANDWIDTH, residual, factors[1])
+        return dq, math.sqrt(dq @ dq)
+
+    if factors is not None and factors[2] != dt:
+        factors = None
+    last = math.inf  # size of the previous correction
+    for it in range(MAX_NEWTON_ITERS):
+        if rnorm <= NEWTON_TOL * scale:
+            break
+        current = False  # factors taken at this iterate
+        if factors is not None:
+            dq, size = correction(factors, residual)
+        if factors is None or size >= 0.5 * last:
+            # No factors, or old ones that no longer contract: factor here.
+            factors, current = factor(ev), True
+            dq, size = correction(factors, residual)
+        if it > 0:
+            change = q_new - q_pred
+            if size <= NEWTON_STOP * math.sqrt(change @ change):
                 break
-            alpha *= 0.5
+
+        # Backtracking on the residual norm; old factors get the full step only.
+        while True:
+            alpha = 1.0
+            best = None
+            for _ in range(10 if current else 1):
+                q_try = q_new + alpha * dq
+                q_try[3] = q_new[3]
+                try:
+                    trial = force_eval(q_try)
+                except DegenerateEdgeError:
+                    alpha *= 0.5
+                    continue
+                if best is None or trial[2] < best[3]:
+                    best = (q_try, trial[0], trial[1], trial[2])
+                if trial[2] < rnorm:
+                    break
+                alpha *= 0.5
+            if current or (best is not None and best[3] < rnorm):
+                break
+            # The old factors' correction does not lower the residual: factor here.
+            factors, current = factor(ev), True
+            dq, size = correction(factors, residual)
         if best is None:
             raise NewtonDivergenceError("line search failed on every step length", diag)
         q_new, ev, residual, rnorm = best
+        last = size
         diag.iterations = it + 1
     else:
         raise NewtonDivergenceError(
             f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL * scale:.3e}) "
             f"after {MAX_NEWTON_ITERS} iterations", diag,
         )
+    diag.factors = factors
 
     pos_new, th_new = unpack_dofs(q_new)
     new_state = RodState(
@@ -318,12 +367,17 @@ class Integrator:
     copy() forks the run: the fork and the original advance and record
     bit-identically.
 
-    Full steps and substeps share one cached mobility spectrum, rebuilt
+    Full steps and substeps share two caches on one clock: the mobility
+    spectrum and step's LU factors of the Newton matrix. Both are dropped
     before every refresh-th step of either size, where refresh =
     round(MOBILITY_REFRESH / dt) is the step count of MOBILITY_REFRESH
-    seconds at the full step (8 at dt = 5 ms, 40 at 1 ms). It may date from
-    a substep that a failure rolled back, within one step of the current
-    state: inside the drift the cache tolerates between rebuilds.
+    seconds at the full step (8 at dt = 5 ms, 40 at 1 ms); the spectrum is
+    rebuilt at once and the factors at the step's first Newton iteration.
+    In between, step refactors only when the old factors stop contracting,
+    fail to lower the residual or were made at another dt. Either cache
+    may date from a substep that a failure rolled back, within one step of
+    the current state: inside the drift the caches tolerate between
+    rebuilds.
     """
 
     def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
@@ -339,6 +393,7 @@ class Integrator:
         self.steps = 0
         self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
+        self._factors = None  # step's LU factors of the Newton matrix; dropped with _spectrum
         self._age = 0  # steps attempted, full or sub; a multiple of _refresh rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
@@ -349,10 +404,10 @@ class Integrator:
         return self.steps * self.dt
 
     def copy(self) -> "Integrator":
-        """An exact fork: state, step count, samples, spectrum cache and fallback window.
+        """An exact fork: state, step count, samples, caches and fallback window.
 
-        params, controls and rest are read-only and shared, and so is each
-        sample, which is never changed once recorded.
+        params, controls and rest are read-only and shared, and so are the
+        Newton factors and each sample, which are never changed once made.
         """
         fork = copy.copy(self)
         fork.state = self.state.copy()
@@ -428,10 +483,13 @@ class Integrator:
         state = self.state
         for _ in range(sub):
             if self._spectrum is None or self._age % self._refresh == 0:
-                self._spectrum = None  # release the old spectrum before building the new one
+                # Drop both caches; release the old spectrum before building the new one.
+                self._spectrum = self._factors = None
                 self._spectrum = mobility_spectrum(state, self.params)
             self._age += 1
-            state, _ = step(state, self.rest, self.params, omega, self._spectrum, controls)
+            state, diag = step(state, self.rest, self.params, omega, self._spectrum, controls,
+                               self._factors)
+            self._factors = diag.factors
         self.state = state
         if sub > 1 and self._recover == 0:
             self._recover = self._recover_window

@@ -179,26 +179,31 @@ def flaky_step(real_step, error, every_call=False):
     """
     sizes = []
 
-    def step(state, rest, params, omega, spectrum, controls):
+    def step(state, rest, params, omega, spectrum, controls, factors):
         sizes.append(controls.time_step)
         if every_call or sizes == [None]:
             raise error
-        return real_step(state, rest, params, omega, spectrum, controls)
+        return real_step(state, rest, params, omega, spectrum, controls, factors)
 
     return step, sizes
 
 
-def count_spectra(monkeypatch):
-    """A list that gains one entry per hydro.clamped_spectrum call from here on."""
-    spectra = []
-    clamped_spectrum = hydro.clamped_spectrum
+def count_calls(monkeypatch, owner, name):
+    """A list that gains one entry per call of owner.name from here on."""
+    calls = []
+    function = getattr(owner, name)
 
     def counting(*args):
-        spectra.append(None)
-        return clamped_spectrum(*args)
+        calls.append(None)
+        return function(*args)
 
-    monkeypatch.setattr(hydro, "clamped_spectrum", counting)
-    return spectra
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_spectra(monkeypatch):
+    """A list that gains one entry per hydro.clamped_spectrum call from here on."""
+    return count_calls(monkeypatch, hydro, "clamped_spectrum")
 
 
 def fallback_sizes(dt, n_steps):

@@ -32,16 +32,18 @@ writes, next to this script:
   train_regressor fit for 10 epochs on 450 seeded rows, whose 360 training
   residuals (90 rows are held out) outnumber the 331 parameters.
 
-jacobian_n10.npz and pulse_tiny.npz were recorded at commit e5b6400, the
-last revision with the entry-by-entry bend/twist Hessian;
-elastic_moved_n10.npz at commit f98e22a, the last revision that
-transported the frames and updated the reference twist in two passes;
-training.npz at commit 35e3801, the last revision that solved each damped
-Gauss-Newton step with np.linalg.solve on the parameter-space matrix;
-paper_cruise.npz on the child of commit ad59413, the last revision that
-rebuilt the spectrum every 8 steps rather than every 40 ms (it was
-recorded before at commit a74f3fa); fallback_tiny.npz at commit b17636b,
-the last revision that built a new spectrum for every substep.
+jacobian_n10.npz was recorded at commit e5b6400, the last revision with
+the entry-by-entry bend/twist Hessian; elastic_moved_n10.npz at commit
+f98e22a, the last revision that transported the frames and updated the
+reference twist in two passes; training.npz at commit 35e3801, the last
+revision that solved each damped Gauss-Newton step with np.linalg.solve on
+the parameter-space matrix; pulse_tiny.npz and paper_cruise.npz on the
+child of commit dda8dfe, the last full-Newton revision, which factored the
+Newton matrix at every iteration and ran Newton to NEWTON_TOL (they were
+recorded before at e5b6400 and on the child of ad59413, the last revision
+that rebuilt the spectrum every 8 steps rather than every 40 ms);
+fallback_tiny.npz at commit b17636b, the last revision that built a new
+spectrum for every substep.
 The energies in the two kernel fixtures were recorded from the kernel's own
 energy, which the kernel no longer computes; a re-recording takes them
 from conftest.der_energy, which agrees to about 1e-16 relative.

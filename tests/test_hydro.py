@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flagsim import build_initial_configuration, paper_parameters
+from flagsim import build_initial_configuration, desk_parameters, paper_parameters
+from flagsim.config import load_config
 from flagsim.hydro import (
     HydroSolveError,
     assemble_mobility,
@@ -15,6 +16,7 @@ from flagsim.hydro import (
 from flagsim.stepper import MOBILITY_FLOOR
 
 from conftest import head_induced_flow, head_spin_from_torque_balance, head_torque
+from test_cli import TINY_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +415,34 @@ def test_straight_rod_drag_matches_slender_spheroid(paper_params):
     along, across = straight_rod_drag(params, MOBILITY_FLOOR)
     assert along == pytest.approx(scale / (log - 0.5), rel=0.2)
     assert across == pytest.approx(2.0 * scale / (log + 0.5), rel=0.2)
+
+
+def rigid_helix_thrust_ratio(params):
+    """Axial force over axial torque [1/m] on the built helix spun rigidly about its axis.
+
+    The flagellar nodes move at x_hat x r about the x-axis through the head
+    centre, and the forces on them are the clamped mobility solve's,
+    M^-1 (-u), with no head. The ratio does not depend on the spin rate.
+    """
+    state = build_initial_configuration(params)
+    r = state.positions[1:] - state.positions[0]
+    mob = assemble_mobility(r, node_tangents(state.tangents), params.viscosity, params.cutoff)
+    vecs, inv = clamped_spectrum(mob, MOBILITY_FLOOR, params.viscosity)
+    u = np.cross([1.0, 0.0, 0.0], r)
+    forces = -(vecs @ (inv * (vecs.T @ u.ravel()))).reshape(-1, 3)
+    return forces[:, 0].sum() / np.cross(r, forces)[:, 0].sum()
+
+
+@pytest.mark.parametrize("rod", ["paper", "desk", "truncated"])
+def test_rigid_helix_thrust_has_the_rft_sign(paper_params, rod):
+    # Oracle: resistive-force theory (Gray & Hancock 1955; Lighthill 1976)
+    # on the same nodes gives a negative axial force per axial torque, -24
+    # to -57 1/m for any drag ratio of 1.5-2. The solve reads -13.9 1/m on
+    # the paper rod, -4.10 on the desk preset (N=42) and -4.16 on the
+    # truncated CI rod (the desk preset at N=16, tests/test_cli.py's
+    # TINY_CONFIG). The full-helix desk_parameters(16), whose 8.6 mm rod is
+    # wider than its 6.04 mm coil, reads +6.76: it pushes the wrong way, so
+    # it cannot be the CI rod (ROADMAP item 1).
+    params = {"paper": paper_params, "desk": desk_parameters(),
+              "truncated": load_config(None, "desk", overrides=TINY_CONFIG).physical}[rod]
+    assert rigid_helix_thrust_ratio(params) < 0.0

@@ -21,6 +21,7 @@ from flagsim.stepper import (
 
 from conftest import (
     committed_perturbation,
+    count_calls,
     count_spectra,
     dense_from_band,
     fallback_sizes,
@@ -55,28 +56,37 @@ def test_node_separation_failure_is_simulation_error(monkeypatch):
 
 
 def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built):
-    # Every Newton correction from the band solve equals a dense solve of the
-    # same matrix.
+    # Every Newton correction from the band factors equals a dense solve of
+    # the matrix they were factored from, also in a second step that starts
+    # from the first step's factors.
     _, rest = desk_built
     state = committed_perturbation(desk_built[0], rest, seed=3)
-    solves = []
+    factored, solves = {}, []
     get_lapack_funcs = stepper.get_lapack_funcs
 
     def recording(names, arrays):
-        (gbsv,) = get_lapack_funcs(names, arrays)
+        gbtrf, gbtrs = get_lapack_funcs(names, arrays)
 
-        def solve(kl, ku, ab, b, **kwargs):
-            dense, rhs = dense_from_band(ab), b.copy()
-            out = gbsv(kl, ku, ab, b, **kwargs)
-            solves.append((dense, rhs, out[2].copy()))
-            return out
-        return (solve,)
+        def factor(ab, kl, ku, **kwargs):
+            dense = dense_from_band(ab)
+            lu, piv, info = gbtrf(ab, kl, ku, **kwargs)
+            factored[id(lu)] = (lu, dense)  # lu stays alive, so its id stays its own
+            return lu, piv, info
+
+        def solve(lu, kl, ku, b, piv, **kwargs):
+            dq, info = gbtrs(lu, kl, ku, b, piv, **kwargs)
+            solves.append((factored[id(lu)][1], b.copy(), dq.copy()))
+            return dq, info
+        return factor, solve
 
     monkeypatch.setattr(stepper, "get_lapack_funcs", recording)
     omega = 3 * 2 * math.pi / 60
-    _, diag = step(state, rest, desk_params, omega,
-                   stepper.mobility_spectrum(state, desk_params), StepControls())
-    assert len(solves) == diag.iterations >= 1
+    spectrum = stepper.mobility_spectrum(state, desk_params)
+    state, diag = step(state, rest, desk_params, omega, spectrum, StepControls(), None)
+    assert diag.iterations >= 1 and len(solves) > diag.iterations
+    first = len(factored)
+    _, diag = step(state, rest, desk_params, omega, spectrum, StepControls(), diag.factors)
+    assert diag.iterations >= 1 and len(factored) == first  # the old factors sufficed
     for dense, rhs, dq in solves:
         np.testing.assert_allclose(dq, np.linalg.solve(dense, rhs), rtol=1e-10)
 
@@ -131,6 +141,7 @@ def test_integrator_copy_is_exact(monkeypatch):
     fork = original.copy()
     assert fork._spectrum is not None and fork._refresh == 8  # 40 ms at dt = 5 ms
     assert not np.shares_memory(fork._spectrum[0], original._spectrum[0])
+    assert fork._factors is original._factors is not None  # never written, so shared
     for _ in range(20):
         original.advance(omega)
         fork.advance(omega)
@@ -169,11 +180,14 @@ def test_spectrum_refresh_counts_simulated_seconds(monkeypatch, paper_params, ro
                                                    built):
     # The spectrum is rebuilt every 40 ms of simulated time: every 40 steps
     # of the paper rod (dt = 1 ms, steps 0 and 40 of 50) and every 8 of the
-    # tiny rod (dt = 5 ms, 25 times in 200 steps).
+    # tiny rod (dt = 5 ms, 25 times in 200 steps). The Newton matrix is
+    # factored on the same clock: once per spectrum, as the old factors
+    # keep contracting in between.
     params = paper_params if rod == "paper" else desk_parameters(node_count=16, time_step=0.005)
     spectra = count_spectra(monkeypatch)
+    jacobians = count_calls(monkeypatch, stepper, "jacobian_from_eval")
     simulate(params, AngularVelocityProfile.constant(3 * 2 * math.pi / 60), duration, duration)
-    assert len(spectra) == built
+    assert len(spectra) == len(jacobians) == built
 
 
 def test_cached_spectrum_tracks_a_rebuild_every_step(monkeypatch, paper_params):
@@ -190,6 +204,30 @@ def test_cached_spectrum_tracks_a_rebuild_every_step(monkeypatch, paper_params):
     assert travel > 1e-8
     assert np.max(np.abs(cached.head - fresh.head)) <= 5e-4 * travel
     assert np.max(np.abs(cached.node1 - fresh.node1)) <= 5e-4 * travel
+
+
+@pytest.mark.parametrize("rod, head_bound, node1_bound", [("pulse", 3e-5, 5e-5),
+                                                          ("paper", 4e-6, 2.5e-5)])
+def test_simplified_newton_tracks_full_newton(monkeypatch, paper_params, rod, head_bound,
+                                              node1_bound):
+    # Stopping Newton at NEWTON_STOP of the step's implicit change, against
+    # running it to NEWTON_TOL, on the regression fixtures' runs: the tiny
+    # rod's 15 rpm pulse moved the head by 5.6e-6 of its travel and node 1
+    # by 9.1e-6; the paper cruise moved them by 8.5e-7 and 4.8e-6. The
+    # bounds are about 5 times those.
+    rpm = 2 * math.pi / 60
+    if rod == "pulse":
+        run = (desk_parameters(node_count=16, time_step=0.005),
+               AngularVelocityProfile.pulse(3 * rpm, 15 * rpm, 1.0, 1.0), 3.0, 0.5)
+    else:
+        run = (paper_params, AngularVelocityProfile.constant(3 * rpm), 0.05, 0.01)
+    stopped = simulate(*run)
+    monkeypatch.setattr(stepper, "NEWTON_STOP", 0.0)
+    full = simulate(*run)
+    travel = np.max(np.linalg.norm(full.head - full.head[0], axis=1))
+    assert travel > 0.0
+    assert np.max(np.abs(stopped.head - full.head)) <= head_bound * travel
+    assert np.max(np.abs(stopped.node1 - full.node1)) <= node1_bound * travel
 
 
 def test_integrator_is_first_order():
@@ -255,9 +293,9 @@ def test_collapsing_predictor_takes_substeps(monkeypatch):
     params = desk_parameters(node_count=16, time_step=0.005)
     sizes = []
 
-    def recording(state, rest, params, omega, spectrum, controls):
+    def recording(state, rest, params, omega, spectrum, controls, factors):
         sizes.append(controls.time_step)
-        return step(state, rest, params, omega, spectrum, controls)
+        return step(state, rest, params, omega, spectrum, controls, factors)
 
     monkeypatch.setattr(stepper, "step", recording)
     integrator = stepper.Integrator(params, state=_carry_node5_onto_node6(params, 1.0))
