@@ -66,9 +66,10 @@ rows, whose u_k are constant, are added as 3x3 blocks. Each stencil's
 (8, 8) Hessian is then symmetrized, gets its stretch blocks and is
 embedded on its 11 DOFs as E^T H E.
 
-Cost split. The step's kernels run 2-3 times per time step on small rods,
-where their cost is per-call array dispatch, so work is done at the
-coarsest level it allows:
+Cost split. A time step runs the force kernel about once (1.03 to 1.24
+times per step on the benchmark's workloads) and the Jacobian about once
+per spectrum refresh. On small rods their cost is per-call array
+dispatch, so work is done at the coarsest level it allows:
 - once per run: RestConfiguration, including the bend/twist moduli
   (EI, EI, GJ)/l_vor, and the band scatter indices (_band_indices, per
   node count);

@@ -28,7 +28,16 @@ class DegenerateEdgeError(ValueError):
 
 @dataclass
 class RodState:
-    """Full configuration of the discretized robot at one instant."""
+    """Full configuration of the discretized robot at one instant.
+
+    The reference directors are the frames of the last evaluated
+    configuration. A time step commits its last Newton iterate plus one
+    more correction (stepper.step), so they are normal to the tangents of
+    that iterate and off the committed tangents by that correction's
+    rotation: |ref_d1 . t| reaches about 1e-5 over a 15 rpm pulse of the
+    truncated N=16 rod. The next step's transport projects them onto its
+    candidate tangents again, so the gap does not build up.
+    """
 
     positions: np.ndarray           # (N, 3)
     thetas: np.ndarray              # (N-1,) twist angle per edge

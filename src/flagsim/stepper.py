@@ -27,17 +27,26 @@ round(MOBILITY_REFRESH / dt) steps, each substep counting as one.
 
 Newton is simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8):
 each correction is one back-substitution with LU factors (dgbtrf) of the
-band Newton matrix J - M/dt^2, which step takes from its caller and
-returns. A correction from old factors is taken whole if it lowers the
-residual. Otherwise, and when there are no factors, when theirs were made
-at another dt, or when a correction is not below half the one before,
-step refactors at the current iterate and runs the damped line search.
-Newton stops at a residual norm of NEWTON_TOL times the force scale, or,
-after at least one correction, once the next correction is at most
-NEWTON_STOP times the step's implicit change |q - q_pred|, where
-q_pred = q_old + dt v_old is the explicit predictor Newton starts from:
-that change is twice the step's local-error estimate, so iterating further
-buys no accuracy. It stalls after MAX_NEWTON_ITERS iterations. Like the
+band Newton matrix J - M/dt^2. step takes from its caller, and returns, a
+NewtonCarry: the factors, their latest contraction ratio theta, and the
+elastic forces F_n, F_(n-1) that the last two steps' balances imply.
+Newton starts from the explicit predictor q_pred = q_old + dt v_old. With
+factors and two forces, the residual at q_pred is predicted from
+F(q_pred) ~ 2 F_n - F_(n-1) instead of evaluated, and its correction is the
+first iterate; if the residual there is not below the predicted one,
+Newton starts over from an evaluation at q_pred. A correction from old
+factors is taken whole if it lowers the residual. Otherwise, and when
+there are no factors, when the carry was made at another dt, or when a
+correction is not below half the one before, step refactors at the
+current iterate and runs the damped line search. Newton stops at a
+residual norm of NEWTON_TOL times the force scale, or, after at least one
+correction, once the error left after the next correction dq, about
+theta/(1 - theta) |dq|, is at most NEWTON_STOP times the step's implicit
+change |q - q_pred|; it then commits q + dq. That change is twice the
+step's local-error estimate, so iterating further buys no accuracy. theta
+is the ratio of two successive corrections of real residuals with the same
+factors; until one is measured on the current factors, the error is taken
+as |dq| itself. Newton stalls after MAX_NEWTON_ITERS iterations. Like the
 spectrum's, these are constants: StepControls carries only the step size
 the substeps change.
 
@@ -45,13 +54,18 @@ Cost split of step. Per run (shared through the arguments or cached per
 rod size): the rest configuration with its stiffnesses and lumped masses, and
 the band positions of the pinned twist DOF. Per step: the committed frames
 (elastic.CommittedFrames), the explicit drift dt v_old, M/dt^2 (dt changes
-with the substep fallback) and the hydrodynamic force. Per force
-evaluation: the elastic force and the residual, whose pinned entry is
-zeroed so its norm needs no masked copy; per Newton iteration: one band
-back-substitution, plus one more for the stop test. Per refactoring, about
-once per spectrum: the band Jacobian and its LU factors. The factors are
-the only thing kept between steps; Integrator keeps them, so
-Integrator.copy forks a run exactly.
+with the substep fallback), the hydrodynamic force, the predicted residual
+and the force the committed balance implies. Most steps then cost one
+elastic force evaluation and two band back-substitutions: one for the
+predicted residual and one for the committed last correction. A step also
+evaluates at q_pred when it has no factors (about once per spectrum), when
+its carry holds fewer than two forces (the first two steps at a dt) or when
+the predicted start fails; each further Newton iteration costs one
+evaluation and one back-substitution. An evaluation is the elastic force
+and the residual, whose pinned entry is zeroed so its norm needs no masked
+copy. Per refactoring, about once per spectrum: the band Jacobian and its
+LU factors. The NewtonCarry is the only thing kept between steps;
+Integrator keeps it, so Integrator.copy forks a run exactly.
 """
 
 from __future__ import annotations
@@ -103,10 +117,30 @@ class StepControls:
     time_step: float | None = None  # None -> PhysicalParameters.time_step; substeps set it
 
 
+@dataclass(frozen=True)
+class NewtonCarry:
+    """What one step's Newton solve hands to the next step at the same dt.
+
+    factors are the LU factors (lu, piv) of the band Newton matrix
+    J - M/dt^2 (dgbtrf), or None. theta is their latest contraction ratio:
+    a correction's size over the one before it, both solved with these
+    factors for real residuals; None when none has been measured. forces
+    are the elastic forces that the last one or two steps' balances imply
+    at their committed DOFs, oldest first:
+    F_n = M (q_n - q_(n-1) - dt v_(n-1)) / dt^2 - f_ext,(n-1). No array is
+    written once made, so copies share them.
+    """
+
+    dt: float
+    factors: tuple | None = None
+    theta: float | None = None
+    forces: tuple = ()
+
+
 @dataclass
 class StepDiagnostics:
-    iterations: int = 0
-    factors: tuple | None = None  # the (lu, piv, dt) the solve ended with
+    iterations: int = 0  # corrections taken to an evaluated iterate (not the committed last one)
+    newton: NewtonCarry | None = None  # what the next step at this dt starts from
 
 
 @dataclass(frozen=True)
@@ -228,21 +262,24 @@ def _pinned_entries(d: int) -> np.ndarray:
 
 def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, omega: float,
          spectrum: tuple[np.ndarray, np.ndarray], controls: StepControls,
-         factors: tuple | None) -> tuple[RodState, StepDiagnostics]:
+         newton: NewtonCarry | None) -> tuple[RodState, StepDiagnostics]:
     """Advance the system one time step under actuation rate omega [rad/s].
 
     spectrum is the clamped mobility spectrum, passed on to external_force.
     controls stays the sixth positional argument: bench/tracer.py counts
-    substeps by the controls it finds there. factors are the LU factors
-    (lu, piv, dt) of a Newton matrix from an earlier step, or None; the
-    factors the solve ended with come back on the diagnostics.
-    What depends only on the committed state (its frames, the explicit
-    drift dt v_old, the hydrodynamic force) is computed once here and shared
-    by every force evaluation of the Newton solve.
+    substeps by the controls it finds there. newton is what an earlier
+    step's solve handed on (NewtonCarry), or None; a carry made at another
+    dt is dropped whole. What the solve hands on comes back on the
+    diagnostics. What depends only on the committed state (its frames, the
+    explicit drift dt v_old, the hydrodynamic force) is computed once here
+    and shared by every force evaluation of the Newton solve.
     """
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     dt = controls.time_step if controls.time_step is not None else params.time_step
+    if newton is None or newton.dt != dt:
+        newton = NewtonCarry(dt)
+    factors, theta = newton.factors, newton.theta
     q_old = state.dof_vector()
     drift = dt * state.velocities
     committed = CommittedFrames.from_state(state)
@@ -252,21 +289,15 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
 
     q_pred = q_old + drift
     q_pred[3] = q_old[3] + omega * dt
-    q_new = q_pred
 
     def force_eval(q):
         pos, th = unpack_dofs(q)
         ev = evaluate_elastics(pos, th, committed, rest)
         residual = inertia * (q - q_old - drift) - ev.force - f_ext
         residual[3] = 0.0  # theta^0 carries the prescribed rotation: no balance
-        return ev, residual, math.sqrt(residual @ residual)
+        return q, ev, residual, math.sqrt(residual @ residual)
 
     diag = StepDiagnostics()
-    ev, residual, rnorm = force_eval(q_new)
-    # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
-    # force-free equilibrium converges immediately.
-    scale = max(math.sqrt(f_ext @ f_ext), math.sqrt(ev.force @ ev.force),
-                1e-6 * rest.stretching)
     pinned = _pinned_entries(q_old.shape[0])
     dgbtrf, dgbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (q_old,))
 
@@ -281,28 +312,57 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
         lu, piv, info = dgbtrf(jac, BANDWIDTH, BANDWIDTH, overwrite_ab=1)
         if info != 0:
             raise NewtonDivergenceError(f"singular Newton system (dgbtrf info={info})", diag)
-        return lu, piv, dt
+        return lu, piv
 
     def correction(factors, residual):
         dq, _ = dgbtrs(factors[0], BANDWIDTH, BANDWIDTH, residual, factors[1])
         return dq, math.sqrt(dq @ dq)
 
-    if factors is not None and factors[2] != dt:
-        factors = None
-    last = math.inf  # size of the previous correction
-    for it in range(MAX_NEWTON_ITERS):
+    def corrected(q, dq):
+        q = q + dq
+        q[3] = q_pred[3]
+        return q
+
+    # The first iterate: the residual at q_pred is predicted from the force
+    # history, F(q_pred) ~ 2 F_n - F_(n-1), and corrected with the old
+    # factors. It stands if its residual is below the predicted one;
+    # otherwise Newton starts from an evaluation at q_pred.
+    start = None
+    if factors is not None and len(newton.forces) == 2:
+        older, newer = newton.forces
+        predicted = -(2.0 * newer - older) - f_ext
+        predicted[3] = 0.0
+        try:
+            trial = force_eval(corrected(q_pred, correction(factors, predicted)[0]))
+        except DegenerateEdgeError:
+            trial = None
+        if trial is not None and trial[3] < math.sqrt(predicted @ predicted):
+            start, diag.iterations = trial, 1
+    q_new, ev, residual, rnorm = start or force_eval(q_pred)
+    # Floor keeps the tolerance above force rounding noise (~1e-12 EA) so a
+    # force-free equilibrium converges immediately.
+    scale = max(math.sqrt(f_ext @ f_ext), math.sqrt(ev.force @ ev.force),
+                1e-6 * rest.stretching)
+
+    last = math.inf  # size of the previous correction of a real residual, with these factors
+    for it in range(diag.iterations, MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL * scale:
             break
         current = False  # factors taken at this iterate
         if factors is not None:
             dq, size = correction(factors, residual)
+            if last < math.inf:
+                theta = size / last
         if factors is None or size >= 0.5 * last:
             # No factors, or old ones that no longer contract: factor here.
-            factors, current = factor(ev), True
+            factors, theta, current = factor(ev), None, True
             dq, size = correction(factors, residual)
         if it > 0:
+            # q + dq is off the solution by about theta/(1 - theta) |dq|.
             change = q_new - q_pred
-            if size <= NEWTON_STOP * math.sqrt(change @ change):
+            eta = 1.0 if theta is None else theta / (1.0 - theta)
+            if eta * size <= NEWTON_STOP * math.sqrt(change @ change):
+                q_new = corrected(q_new, dq)
                 break
 
         # Backtracking on the residual norm; old factors get the full step only.
@@ -310,22 +370,20 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
             alpha = 1.0
             best = None
             for _ in range(10 if current else 1):
-                q_try = q_new + alpha * dq
-                q_try[3] = q_new[3]
                 try:
-                    trial = force_eval(q_try)
+                    trial = force_eval(corrected(q_new, alpha * dq))
                 except DegenerateEdgeError:
                     alpha *= 0.5
                     continue
-                if best is None or trial[2] < best[3]:
-                    best = (q_try, trial[0], trial[1], trial[2])
-                if trial[2] < rnorm:
+                if best is None or trial[3] < best[3]:
+                    best = trial
+                if trial[3] < rnorm:
                     break
                 alpha *= 0.5
             if current or (best is not None and best[3] < rnorm):
                 break
             # The old factors' correction does not lower the residual: factor here.
-            factors, current = factor(ev), True
+            factors, theta, current = factor(ev), None, True
             dq, size = correction(factors, residual)
         if best is None:
             raise NewtonDivergenceError("line search failed on every step length", diag)
@@ -337,13 +395,15 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
             f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL * scale:.3e}) "
             f"after {MAX_NEWTON_ITERS} iterations", diag,
         )
-    diag.factors = factors
+    moved = q_new - q_old
+    force = inertia * (moved - drift) - f_ext  # the elastic force this balance implies
+    diag.newton = NewtonCarry(dt, factors, theta, newton.forces[-1:] + (force,))
 
     pos_new, th_new = unpack_dofs(q_new)
     new_state = RodState(
         positions=pos_new,
         thetas=th_new,
-        velocities=(q_new - q_old) / dt,
+        velocities=moved / dt,
         ref_d1=ev.d1,
         ref_d2=ev.d2,
         ref_twist=ev.ref_twist,
@@ -367,17 +427,21 @@ class Integrator:
     copy() forks the run: the fork and the original advance and record
     bit-identically.
 
-    Full steps and substeps share two caches on one clock: the mobility
-    spectrum and step's LU factors of the Newton matrix. Both are dropped
-    before every refresh-th step of either size, where refresh =
-    round(MOBILITY_REFRESH / dt) is the step count of MOBILITY_REFRESH
-    seconds at the full step (8 at dt = 5 ms, 40 at 1 ms); the spectrum is
-    rebuilt at once and the factors at the step's first Newton iteration.
-    In between, step refactors only when the old factors stop contracting,
-    fail to lower the residual or were made at another dt. Either cache
-    may date from a substep that a failure rolled back, within one step of
-    the current state: inside the drift the caches tolerate between
-    rebuilds.
+    Full steps and substeps share the mobility spectrum and step's
+    NewtonCarry. The spectrum, and the carry's LU factors with their
+    contraction ratio, are dropped before every refresh-th step of either
+    size, where refresh = round(MOBILITY_REFRESH / dt) is the step count of
+    MOBILITY_REFRESH seconds at the full step (8 at dt = 5 ms, 40 at 1 ms);
+    the spectrum is rebuilt at once and the factors at the step's first
+    Newton iteration. In between, step refactors only when the old factors
+    stop contracting, fail to lower the residual or were made at another
+    dt. The carry's force history survives refreshes. step drops the whole
+    carry when the step size changes, so the first step at a new size
+    neither extrapolates from forces taken at the old one nor uses its
+    factors. The spectrum and the factors may date from a substep that a
+    failure rolled back, within one step of the current state: inside the
+    drift they tolerate between rebuilds. The force history never does,
+    as a failed step is retried at a smaller size.
     """
 
     def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
@@ -393,7 +457,7 @@ class Integrator:
         self.steps = 0
         self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
-        self._factors = None  # step's LU factors of the Newton matrix; dropped with _spectrum
+        self._newton = None  # step's NewtonCarry; its factors and theta go with _spectrum
         self._age = 0  # steps attempted, full or sub; a multiple of _refresh rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
@@ -406,8 +470,10 @@ class Integrator:
     def copy(self) -> "Integrator":
         """An exact fork: state, step count, samples, caches and fallback window.
 
+        The caches are the spectrum and the NewtonCarry: the LU factors, their
+        contraction ratio and the force history the next step predicts from.
         params, controls and rest are read-only and shared, and so are the
-        Newton factors and each sample, which are never changed once made.
+        NewtonCarry and each sample, which are never changed once made.
         """
         fork = copy.copy(self)
         fork.state = self.state.copy()
@@ -484,12 +550,14 @@ class Integrator:
         for _ in range(sub):
             if self._spectrum is None or self._age % self._refresh == 0:
                 # Drop both caches; release the old spectrum before building the new one.
-                self._spectrum = self._factors = None
+                self._spectrum = None
+                if self._newton is not None:
+                    self._newton = replace(self._newton, factors=None, theta=None)
                 self._spectrum = mobility_spectrum(state, self.params)
             self._age += 1
             state, diag = step(state, self.rest, self.params, omega, self._spectrum, controls,
-                               self._factors)
-            self._factors = diag.factors
+                               self._newton)
+            self._newton = diag.newton
         self.state = state
         if sub > 1 and self._recover == 0:
             self._recover = self._recover_window

@@ -179,11 +179,11 @@ def flaky_step(real_step, error, every_call=False):
     """
     sizes = []
 
-    def step(state, rest, params, omega, spectrum, controls, factors):
+    def step(state, rest, params, omega, spectrum, controls, newton):
         sizes.append(controls.time_step)
         if every_call or sizes == [None]:
             raise error
-        return real_step(state, rest, params, omega, spectrum, controls, factors)
+        return real_step(state, rest, params, omega, spectrum, controls, newton)
 
     return step, sizes
 

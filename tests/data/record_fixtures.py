@@ -38,10 +38,12 @@ f98e22a, the last revision that transported the frames and updated the
 reference twist in two passes; training.npz at commit 35e3801, the last
 revision that solved each damped Gauss-Newton step with np.linalg.solve on
 the parameter-space matrix; pulse_tiny.npz and paper_cruise.npz on the
-child of commit dda8dfe, the last full-Newton revision, which factored the
-Newton matrix at every iteration and ran Newton to NEWTON_TOL (they were
-recorded before at e5b6400 and on the child of ad59413, the last revision
-that rebuilt the spectrum every 8 steps rather than every 40 ms);
+child of commit 8158981, the last revision that evaluated the elastics at
+the explicit predictor in every step and dropped the stop test's last
+correction (they were recorded before at e5b6400, on the child of ad59413,
+the last revision that rebuilt the spectrum every 8 steps rather than
+every 40 ms, and on the child of dda8dfe, the last full-Newton revision,
+from whose recordings these lie 1.4e-8 and 1.5e-8 of the head's travel);
 fallback_tiny.npz at commit b17636b, the last revision that built a new
 spectrum for every substep.
 The energies in the two kernel fixtures were recorded from the kernel's own

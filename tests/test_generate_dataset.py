@@ -122,10 +122,10 @@ def failing_step(fails):
     """stepper.step that raises HydroSolveError where fails(state, omega) holds."""
     real_step = stepper.step
 
-    def step(state, rest, params, omega, spectrum, controls, factors):
+    def step(state, rest, params, omega, spectrum, controls, newton):
         if fails(state, omega):
             raise HydroSolveError("injected")
-        return real_step(state, rest, params, omega, spectrum, controls, factors)
+        return real_step(state, rest, params, omega, spectrum, controls, newton)
 
     return step
 

@@ -7,6 +7,7 @@ import pytest
 import flagsim.stepper as stepper
 from flagsim import build_initial_configuration, desk_parameters
 from flagsim import hydro
+from flagsim.config import load_config
 from flagsim.elastic import RestConfiguration
 from flagsim.rod import DegenerateEdgeError, node_dof_indices
 from flagsim.stepper import (
@@ -27,6 +28,7 @@ from conftest import (
     fallback_sizes,
     flaky_step,
 )
+from test_cli import TINY_CONFIG
 
 
 def test_node_separation_failure_is_simulation_error(monkeypatch):
@@ -57,8 +59,9 @@ def test_node_separation_failure_is_simulation_error(monkeypatch):
 
 def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built):
     # Every Newton correction from the band factors equals a dense solve of
-    # the matrix they were factored from, also in a second step that starts
-    # from the first step's factors.
+    # the matrix they were factored from, also in two more steps that start
+    # from the first step's factors, the last of them from the residual
+    # predicted by the force history.
     _, rest = desk_built
     state = committed_perturbation(desk_built[0], rest, seed=3)
     factored, solves = {}, []
@@ -85,8 +88,13 @@ def test_banded_newton_solve_matches_dense(monkeypatch, desk_params, desk_built)
     state, diag = step(state, rest, desk_params, omega, spectrum, StepControls(), None)
     assert diag.iterations >= 1 and len(solves) > diag.iterations
     first = len(factored)
-    _, diag = step(state, rest, desk_params, omega, spectrum, StepControls(), diag.factors)
-    assert diag.iterations >= 1 and len(factored) == first  # the old factors sufficed
+    evaluations = count_calls(monkeypatch, stepper, "evaluate_elastics")
+    for history in (1, 2):
+        assert len(diag.newton.forces) == history
+        state, diag = step(state, rest, desk_params, omega, spectrum, StepControls(),
+                           diag.newton)
+        assert diag.iterations >= 1 and len(factored) == first  # the old factors sufficed
+    assert len(evaluations) == 2 + 1  # at q_pred and the iterate, then the predicted iterate
     for dense, rhs, dq in solves:
         np.testing.assert_allclose(dq, np.linalg.solve(dense, rhs), rtol=1e-10)
 
@@ -130,8 +138,10 @@ def _assert_same_run(a, b):
 
 
 def test_integrator_copy_is_exact(monkeypatch):
-    # A fork taken off a spectrum-refresh boundary, and one taken inside the
-    # half-step recovery window, advance bit for bit like the original.
+    # A fork taken mid-way between spectrum refreshes, and one taken inside
+    # the half-step recovery window, advance bit for bit like the original:
+    # each carries the spectrum, the Newton factors with their contraction
+    # ratio, and the force history the next step's prediction starts from.
     params = desk_parameters(node_count=16, time_step=0.005)
     omega = 3 * 2 * math.pi / 60
 
@@ -141,7 +151,9 @@ def test_integrator_copy_is_exact(monkeypatch):
     fork = original.copy()
     assert fork._spectrum is not None and fork._refresh == 8  # 40 ms at dt = 5 ms
     assert not np.shares_memory(fork._spectrum[0], original._spectrum[0])
-    assert fork._factors is original._factors is not None  # never written, so shared
+    carry = fork._newton
+    assert carry is original._newton  # never written, so shared
+    assert carry.factors is not None and carry.theta is not None and len(carry.forces) == 2
     for _ in range(20):
         original.advance(omega)
         fork.advance(omega)
@@ -168,6 +180,8 @@ def test_integrator_copy_is_exact(monkeypatch):
     original.advance(omega, 7)  # the first step fails: half steps for 200 steps
     fork = original.copy()
     assert fork._recover == original._recover == 193
+    carry = fork._newton
+    assert carry is original._newton and carry.dt == 0.0025 and len(carry.forces) == 2
     for _ in range(210):  # past the window's end and two refreshes
         original.advance(omega)
         fork.advance(omega)
@@ -206,21 +220,35 @@ def test_cached_spectrum_tracks_a_rebuild_every_step(monkeypatch, paper_params):
     assert np.max(np.abs(cached.node1 - fresh.node1)) <= 5e-4 * travel
 
 
-@pytest.mark.parametrize("rod, head_bound, node1_bound", [("pulse", 3e-5, 5e-5),
-                                                          ("paper", 4e-6, 2.5e-5)])
+def _truncated_rod():
+    """The truncated N=16 rod: the desk preset with only node_count (and dt) overridden."""
+    return load_config(None, "desk", overrides=TINY_CONFIG).physical
+
+
+@pytest.mark.parametrize("rod, head_bound, node1_bound", [("pulse", 3.5e-9, 5e-9),
+                                                          ("paper", 2.5e-9, 1e-8),
+                                                          ("truncated", 5e-4, 3.5e-4)],
+                         ids=["pulse", "paper", "truncated"])
 def test_simplified_newton_tracks_full_newton(monkeypatch, paper_params, rod, head_bound,
                                               node1_bound):
-    # Stopping Newton at NEWTON_STOP of the step's implicit change, against
-    # running it to NEWTON_TOL, on the regression fixtures' runs: the tiny
-    # rod's 15 rpm pulse moved the head by 5.6e-6 of its travel and node 1
-    # by 9.1e-6; the paper cruise moved them by 8.5e-7 and 4.8e-6. The
-    # bounds are about 5 times those.
+    # Stopping Newton once theta/(1 - theta) |dq| is at most NEWTON_STOP of
+    # the step's implicit change and committing q + dq, against running it
+    # to NEWTON_TOL. On the regression fixtures' runs, the full-helix rod's
+    # 15 rpm pulse moved the head by 7.1e-10 of its travel and node 1 by
+    # 9.6e-10, and the paper cruise moved them by 4.4e-10 and 1.8e-9 (a stop
+    # that dropped dq read 5.6e-6, 9.1e-6, 8.5e-7 and 4.8e-6). The truncated
+    # rod, 5 s at 3 rpm, a 2 s pulse at 15 rpm and 6 s at 3 rpm, moved them
+    # by 9.8e-5 and 7.0e-5 (1.2e-4 for the head with dq dropped). The bounds
+    # are about 5 times the moves.
     rpm = 2 * math.pi / 60
     if rod == "pulse":
         run = (desk_parameters(node_count=16, time_step=0.005),
                AngularVelocityProfile.pulse(3 * rpm, 15 * rpm, 1.0, 1.0), 3.0, 0.5)
-    else:
+    elif rod == "paper":
         run = (paper_params, AngularVelocityProfile.constant(3 * rpm), 0.05, 0.01)
+    else:
+        run = (_truncated_rod(), AngularVelocityProfile.pulse(3 * rpm, 15 * rpm, 5.0, 2.0),
+               13.0, 0.5)
     stopped = simulate(*run)
     monkeypatch.setattr(stepper, "NEWTON_STOP", 0.0)
     full = simulate(*run)
@@ -228,6 +256,69 @@ def test_simplified_newton_tracks_full_newton(monkeypatch, paper_params, rod, he
     assert travel > 0.0
     assert np.max(np.abs(stopped.head - full.head)) <= head_bound * travel
     assert np.max(np.abs(stopped.node1 - full.node1)) <= node1_bound * travel
+
+
+@pytest.mark.parametrize("rod, duration, bound", [("paper", 0.05, 1.1), ("truncated", 2.0, 1.35)],
+                         ids=["paper", "truncated"])
+def test_one_elastic_evaluation_per_step(monkeypatch, paper_params, rod, duration, bound):
+    # A step evaluates the elastics once, at the iterate corrected from the
+    # residual that the force history predicts. Steps that refactor (one per
+    # spectrum), the first two of a run and steps that take a second
+    # correction evaluate more. The paper cruise's 50 steps read 1.06
+    # evaluations per step and 400 steps of the truncated rod at 3 rpm read
+    # 1.16 when this was written; a step that evaluates at q_pred as well
+    # read 2.0 on both.
+    params = paper_params if rod == "paper" else _truncated_rod()
+    evaluations = count_calls(monkeypatch, stepper, "evaluate_elastics")
+    simulate(params, AngularVelocityProfile.constant(3 * 2 * math.pi / 60), duration, duration)
+    assert len(evaluations) <= bound * round(duration / params.time_step)
+
+
+def test_full_step_after_fallback_restarts_the_force_history(monkeypatch):
+    # The recovery window's half steps hand on forces 2.5 ms apart and
+    # factors made at dt/2. The first full step after it uses neither: it
+    # equals a step given no carry, bit for bit, and hands on a history of
+    # its own force alone, so the step after it does not extrapolate either.
+    params = desk_parameters(node_count=16, time_step=0.005)
+    flaky, sizes = flaky_step(step, NewtonDivergenceError("injected", StepDiagnostics()))
+    calls = []
+
+    def recording(*args):
+        result = flaky(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(stepper, "step", recording)
+    integrator = stepper.Integrator(params)
+    integrator.advance(3 * 2 * math.pi / 60, 202)  # 200 steps of half steps, then two full
+    assert sizes == fallback_sizes(0.005, 202)
+    (args, (state, diag)), (_, (_, next_diag)) = calls[-2:]  # the two full steps
+    carry = args[6]
+    assert carry.dt == 0.0025 and len(carry.forces) == 2 and carry.factors is not None
+    fresh, _ = step(*args[:6], None)
+    for f in fields(state):
+        assert getattr(state, f.name).tobytes() == getattr(fresh, f.name).tobytes(), f.name
+    assert len(diag.newton.forces) == 1 and len(next_diag.newton.forces) == 2
+
+
+def test_committed_frames_stay_near_the_tangents():
+    # Newton commits q + dq with the frames of its evaluation at q, so the
+    # reference directors are normal to the tangents at q, not quite to the
+    # committed ones (RodState). Each step's transport projects them again,
+    # so the gap is one correction's rotation and does not build up: over
+    # the truncated rod's 13 s pulse the largest |ref_d1 . t| read 1.06e-5
+    # and |ref_d2 . t| 1.11e-5 when this was written.
+    rpm = 2 * math.pi / 60
+    profile = AngularVelocityProfile.pulse(3 * rpm, 15 * rpm, 5.0, 2.0)
+    integrator = stepper.Integrator(_truncated_rod())
+    worst = 0.0
+    for _ in range(integrator.steps_per(13.0)):
+        integrator.advance(profile.value_at(integrator.time))
+        state = integrator.state
+        t = state.tangents
+        worst = max(worst, np.abs(np.sum(state.ref_d1 * t, axis=1)).max(),
+                    np.abs(np.sum(state.ref_d2 * t, axis=1)).max())
+    assert 0.0 < worst <= 5e-5
 
 
 def test_integrator_is_first_order():
@@ -293,9 +384,9 @@ def test_collapsing_predictor_takes_substeps(monkeypatch):
     params = desk_parameters(node_count=16, time_step=0.005)
     sizes = []
 
-    def recording(state, rest, params, omega, spectrum, controls, factors):
+    def recording(state, rest, params, omega, spectrum, controls, newton):
         sizes.append(controls.time_step)
-        return step(state, rest, params, omega, spectrum, controls, factors)
+        return step(state, rest, params, omega, spectrum, controls, newton)
 
     monkeypatch.setattr(stepper, "step", recording)
     integrator = stepper.Integrator(params, state=_carry_node5_onto_node6(params, 1.0))
