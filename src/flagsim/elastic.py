@@ -66,7 +66,7 @@ rows, whose u_k are constant, are added as 3x3 blocks. Each stencil's
 (8, 8) Hessian is then symmetrized, gets its stretch blocks and is
 embedded on its 11 DOFs as E^T H E.
 
-Cost split. A time step runs the force kernel about once (1.03 to 1.24
+Cost split. A time step runs the force kernel about once (1.01 to 1.12
 times per step on the benchmark's workloads) and the Jacobian about once
 per spectrum refresh. On small rods their cost is per-call array
 dispatch, so work is done at the coarsest level it allows:

@@ -2,7 +2,7 @@
 
 Each step treats the hydrodynamic force explicitly (evaluated at the current
 configuration and velocities) and the elastic force implicitly, solving the
-discrete balance with damped Newton. The first-edge twist rate is prescribed
+discrete balance with simplified Newton. The first-edge twist rate is prescribed
 by the actuation command; the head spin follows from torque balance.
 
 Integrator is the one stepping loop: Integrator.observe samples it on an
@@ -28,17 +28,20 @@ round(MOBILITY_REFRESH / dt) steps, each substep counting as one.
 Newton is simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8):
 each correction is one back-substitution with LU factors (dgbtrf) of the
 band Newton matrix J - M/dt^2. step takes from its caller, and returns, a
-NewtonCarry: the factors, their latest contraction ratio theta, and the
-elastic forces F_n, F_(n-1) that the last two steps' balances imply.
-Newton starts from the explicit predictor q_pred = q_old + dt v_old. With
-factors and two forces, the residual at q_pred is predicted from
-F(q_pred) ~ 2 F_n - F_(n-1) instead of evaluated, and its correction is the
-first iterate; if the residual there is not below the predicted one,
-Newton starts over from an evaluation at q_pred. A correction from old
-factors is taken whole if it lowers the residual. Otherwise, and when
-there are no factors, when the carry was made at another dt, or when a
-correction is not below half the one before, step refactors at the
-current iterate and runs the damped line search. Newton stops at a
+NewtonCarry: the factors, their latest contraction ratio theta, the
+elastic forces F_n, F_(n-1) that the last two steps' balances imply, and
+the last step's final evaluation. Newton starts from the explicit
+predictor q_pred = q_old + dt v_old. With two forces, the residual at
+q_pred is predicted from F(q_pred) ~ 2 F_n - F_(n-1) instead of evaluated,
+and its correction is the first iterate; a carry without factors (a
+spectrum refresh drops them) has the carried evaluation factored first. If
+the residual at the first iterate is not below the predicted one, Newton
+starts over from an evaluation at q_pred. step refactors at the current
+iterate when it has no factors or when a correction is not below half the
+one before; a carry made at another dt is dropped whole. Every correction
+is taken whole: one that does not lower the residual raises
+NewtonDivergenceError, and Integrator retries the step at half and quarter
+steps, which is how simplified Newton treats divergence. Newton stops at a
 residual norm of NEWTON_TOL times the force scale, or, after at least one
 correction, once the error left after the next correction dq, about
 theta/(1 - theta) |dq|, is at most NEWTON_STOP times the step's implicit
@@ -58,14 +61,13 @@ with the substep fallback), the hydrodynamic force, the predicted residual
 and the force the committed balance implies. Most steps then cost one
 elastic force evaluation and two band back-substitutions: one for the
 predicted residual and one for the committed last correction. A step also
-evaluates at q_pred when it has no factors (about once per spectrum), when
-its carry holds fewer than two forces (the first two steps at a dt) or when
-the predicted start fails; each further Newton iteration costs one
-evaluation and one back-substitution. An evaluation is the elastic force
-and the residual, whose pinned entry is zeroed so its norm needs no masked
-copy. Per refactoring, about once per spectrum: the band Jacobian and its
-LU factors. The NewtonCarry is the only thing kept between steps;
-Integrator keeps it, so Integrator.copy forks a run exactly.
+evaluates at q_pred when its carry holds fewer than two forces (the first
+two steps at a dt) or when the predicted start fails; each further Newton
+iteration costs one evaluation and one back-substitution. An evaluation is
+the elastic force and the residual, whose pinned entry is zeroed so its
+norm needs no masked copy. Per refactoring, about once per spectrum: the
+band Jacobian and its LU factors. The NewtonCarry is the only thing kept
+between steps; Integrator keeps it, so Integrator.copy forks a run exactly.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from .elastic import (
     DIAG_ROW,
     CommittedFrames,
     DegenerateEdgeError,
+    ElasticEval,
     RestConfiguration,
     evaluate_elastics,
     jacobian_from_eval,
@@ -94,9 +97,7 @@ from .rod import RodState, build_initial_configuration, node_dof_indices, unpack
 
 
 class NewtonDivergenceError(RuntimeError):
-    def __init__(self, message: str, diagnostics: "StepDiagnostics"):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    pass
 
 
 class SimulationError(RuntimeError):
@@ -127,14 +128,17 @@ class NewtonCarry:
     factors for real residuals; None when none has been measured. forces
     are the elastic forces that the last one or two steps' balances imply
     at their committed DOFs, oldest first:
-    F_n = M (q_n - q_(n-1) - dt v_(n-1)) / dt^2 - f_ext,(n-1). No array is
-    written once made, so copies share them.
+    F_n = M (q_n - q_(n-1) - dt v_(n-1)) / dt^2 - f_ext,(n-1). evaluation
+    is the last step's final ElasticEval, which the next step factors when
+    the factors were dropped. No array is written once made, so copies
+    share them.
     """
 
     dt: float
     factors: tuple | None = None
     theta: float | None = None
     forces: tuple = ()
+    evaluation: ElasticEval | None = None
 
 
 @dataclass
@@ -303,7 +307,7 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
 
     def factor(ev):
         # jac - M/dt^2 is the Newton matrix negated (exactly, and so is the
-        # LU), so its solution is the Newton step negated: q + alpha dq.
+        # LU), so its solution is the Newton step negated: q + dq.
         jac = jacobian_from_eval(ev, rest)
         jac[DIAG_ROW] -= inertia
         # Pin the constrained twist DOF: unit row/column; its residual is 0.
@@ -311,7 +315,7 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
         jac[DIAG_ROW, 3] = 1.0
         lu, piv, info = dgbtrf(jac, BANDWIDTH, BANDWIDTH, overwrite_ab=1)
         if info != 0:
-            raise NewtonDivergenceError(f"singular Newton system (dgbtrf info={info})", diag)
+            raise NewtonDivergenceError(f"singular Newton system (dgbtrf info={info})")
         return lu, piv
 
     def correction(factors, residual):
@@ -324,11 +328,13 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
         return q
 
     # The first iterate: the residual at q_pred is predicted from the force
-    # history, F(q_pred) ~ 2 F_n - F_(n-1), and corrected with the old
+    # history, F(q_pred) ~ 2 F_n - F_(n-1), and corrected with the carried
     # factors. It stands if its residual is below the predicted one;
     # otherwise Newton starts from an evaluation at q_pred.
     start = None
-    if factors is not None and len(newton.forces) == 2:
+    if len(newton.forces) == 2:
+        if factors is None:  # dropped with the spectrum: factor the carried evaluation
+            factors = factor(newton.evaluation)
         older, newer = newton.forces
         predicted = -(2.0 * newer - older) - f_ext
         predicted[3] = 0.0
@@ -348,14 +354,13 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
     for it in range(diag.iterations, MAX_NEWTON_ITERS):
         if rnorm <= NEWTON_TOL * scale:
             break
-        current = False  # factors taken at this iterate
         if factors is not None:
             dq, size = correction(factors, residual)
             if last < math.inf:
                 theta = size / last
         if factors is None or size >= 0.5 * last:
             # No factors, or old ones that no longer contract: factor here.
-            factors, theta, current = factor(ev), None, True
+            factors, theta = factor(ev), None
             dq, size = correction(factors, residual)
         if it > 0:
             # q + dq is off the solution by about theta/(1 - theta) |dq|.
@@ -365,39 +370,20 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
                 q_new = corrected(q_new, dq)
                 break
 
-        # Backtracking on the residual norm; old factors get the full step only.
-        while True:
-            alpha = 1.0
-            best = None
-            for _ in range(10 if current else 1):
-                try:
-                    trial = force_eval(corrected(q_new, alpha * dq))
-                except DegenerateEdgeError:
-                    alpha *= 0.5
-                    continue
-                if best is None or trial[3] < best[3]:
-                    best = trial
-                if trial[3] < rnorm:
-                    break
-                alpha *= 0.5
-            if current or (best is not None and best[3] < rnorm):
-                break
-            # The old factors' correction does not lower the residual: factor here.
-            factors, theta, current = factor(ev), None, True
-            dq, size = correction(factors, residual)
-        if best is None:
-            raise NewtonDivergenceError("line search failed on every step length", diag)
-        q_new, ev, residual, rnorm = best
+        trial = force_eval(corrected(q_new, dq))
+        if trial[3] >= rnorm:
+            raise NewtonDivergenceError(
+                f"Newton correction did not lower the residual ({rnorm:.3e} -> {trial[3]:.3e})")
+        q_new, ev, residual, rnorm = trial
         last = size
         diag.iterations = it + 1
     else:
         raise NewtonDivergenceError(
             f"Newton stalled at residual {rnorm:.3e} (tol {NEWTON_TOL * scale:.3e}) "
-            f"after {MAX_NEWTON_ITERS} iterations", diag,
-        )
+            f"after {MAX_NEWTON_ITERS} iterations")
     moved = q_new - q_old
     force = inertia * (moved - drift) - f_ext  # the elastic force this balance implies
-    diag.newton = NewtonCarry(dt, factors, theta, newton.forces[-1:] + (force,))
+    diag.newton = NewtonCarry(dt, factors, theta, newton.forces[-1:] + (force,), ev)
 
     pos_new, th_new = unpack_dofs(q_new)
     new_state = RodState(
@@ -432,13 +418,14 @@ class Integrator:
     contraction ratio, are dropped before every refresh-th step of either
     size, where refresh = round(MOBILITY_REFRESH / dt) is the step count of
     MOBILITY_REFRESH seconds at the full step (8 at dt = 5 ms, 40 at 1 ms);
-    the spectrum is rebuilt at once and the factors at the step's first
-    Newton iteration. In between, step refactors only when the old factors
-    stop contracting, fail to lower the residual or were made at another
-    dt. The carry's force history survives refreshes. step drops the whole
-    carry when the step size changes, so the first step at a new size
-    neither extrapolates from forces taken at the old one nor uses its
-    factors. The spectrum and the factors may date from a substep that a
+    the spectrum is rebuilt at once and the factors from the carried
+    evaluation of the last step. In between, step refactors only when the
+    old factors stop contracting. The carry's force history and evaluation
+    survive refreshes. step drops the whole carry when the step size
+    changes, so the first step at a new size neither extrapolates from
+    forces taken at the old one nor uses its factors. A correction that
+    does not lower the residual raises NewtonDivergenceError, which takes
+    the substep retries above. The spectrum and the factors may date from a substep that a
     failure rolled back, within one step of the current state: inside the
     drift they tolerate between rebuilds. The force history never does,
     as a failed step is retried at a smaller size.
@@ -471,7 +458,8 @@ class Integrator:
         """An exact fork: state, step count, samples, caches and fallback window.
 
         The caches are the spectrum and the NewtonCarry: the LU factors, their
-        contraction ratio and the force history the next step predicts from.
+        contraction ratio, the last evaluation and the force history the next
+        step predicts from.
         params, controls and rest are read-only and shared, and so are the
         NewtonCarry and each sample, which are never changed once made.
         """

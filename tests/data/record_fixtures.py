@@ -38,12 +38,15 @@ f98e22a, the last revision that transported the frames and updated the
 reference twist in two passes; training.npz at commit 35e3801, the last
 revision that solved each damped Gauss-Newton step with np.linalg.solve on
 the parameter-space matrix; pulse_tiny.npz and paper_cruise.npz on the
-child of commit 8158981, the last revision that evaluated the elastics at
-the explicit predictor in every step and dropped the stop test's last
-correction (they were recorded before at e5b6400, on the child of ad59413,
-the last revision that rebuilt the spectrum every 8 steps rather than
-every 40 ms, and on the child of dda8dfe, the last full-Newton revision,
-from whose recordings these lie 1.4e-8 and 1.5e-8 of the head's travel);
+child of commit f2bac2b, the last revision that evaluated the elastics at
+the explicit predictor on every spectrum refresh step, from whose
+recordings these lie 1.7e-9 and 4.0e-10 of the head's travel (node 1
+2.0e-9 and 8.7e-10); they were recorded before at e5b6400, on the child
+of ad59413, the last revision that rebuilt the spectrum every 8 steps
+rather than every 40 ms, on the child of dda8dfe, the last full-Newton
+revision, and on the child of 8158981, the last revision that evaluated
+at the explicit predictor in every step, whose recordings lie 1.4e-8 and
+1.5e-8 of the head's travel from the dda8dfe ones;
 fallback_tiny.npz at commit b17636b, the last revision that built a new
 spectrum for every substep.
 The energies in the two kernel fixtures were recorded from the kernel's own
@@ -89,7 +92,6 @@ from flagsim.learning import (  # noqa: E402
 from flagsim.stepper import (  # noqa: E402
     AngularVelocityProfile,
     NewtonDivergenceError,
-    StepDiagnostics,
     simulate,
 )
 
@@ -157,7 +159,7 @@ def record_paper() -> dict[str, np.ndarray]:
 def record_fallback() -> dict[str, np.ndarray]:
     params = desk_parameters(node_count=16, time_step=0.005)
     real = stepper.step
-    stepper.step, _ = flaky_step(real, NewtonDivergenceError("injected", StepDiagnostics()))
+    stepper.step, _ = flaky_step(real, NewtonDivergenceError("injected"))
     try:
         traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 1.0, 0.1)
     finally:

@@ -362,7 +362,7 @@ def test_closed_loop_substep_fallback(monkeypatch):
     # one-second recovery window; a failure at every size is SimulationError
     params = desk_parameters(node_count=16, time_step=0.005)
     waypoints = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
-    error = NewtonDivergenceError("injected", StepDiagnostics())
+    error = NewtonDivergenceError("injected")
     real_step = flagsim.stepper.step
 
     flaky, sizes = flaky_step(real_step, error)

@@ -32,7 +32,6 @@ from flagsim.learning import TrainControls, fit_inverse_maps, train_regressor
 from flagsim.stepper import (
     AngularVelocityProfile,
     NewtonDivergenceError,
-    StepDiagnostics,
     simulate,
 )
 
@@ -111,7 +110,7 @@ def test_recovery_window_matches_recorded(monkeypatch):
     ref = np.load(DATA / "fallback_tiny.npz")
     params = desk_parameters(node_count=16, time_step=0.005)
     spectra = count_spectra(monkeypatch)
-    flaky, sizes = flaky_step(stepper.step, NewtonDivergenceError("injected", StepDiagnostics()))
+    flaky, sizes = flaky_step(stepper.step, NewtonDivergenceError("injected"))
     monkeypatch.setattr(stepper, "step", flaky)
     traj = simulate(params, AngularVelocityProfile.constant(3.0 * RPM), 1.0, 0.1)
     assert sizes.count(0.0025) == 400 and len(spectra) <= 51
