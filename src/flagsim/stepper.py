@@ -28,7 +28,7 @@ round(MOBILITY_REFRESH / dt) steps, each substep counting as one.
 Newton is simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8):
 each correction is one back-substitution with LU factors (dgbtrf) of the
 band Newton matrix J - M/dt^2. step takes from its caller, and returns, a
-NewtonCarry: the factors, their latest contraction ratio theta, the
+NewtonCarry: the factors, the latest contraction ratio theta, the
 elastic forces F_n, F_(n-1) that the last two steps' balances imply, and
 the last step's final evaluation. Newton starts from the explicit
 predictor q_pred = q_old + dt v_old. With two forces, the residual at
@@ -47,11 +47,12 @@ correction, once the error left after the next correction dq, about
 theta/(1 - theta) |dq|, is at most NEWTON_STOP times the step's implicit
 change |q - q_pred|; it then commits q + dq. That change is twice the
 step's local-error estimate, so iterating further buys no accuracy. theta
-is the ratio of two successive corrections of real residuals with the same
-factors; until one is measured on the current factors, the error is taken
-as |dq| itself. Newton stalls after MAX_NEWTON_ITERS iterations. Like the
-spectrum's, these are constants: StepControls carries only the step size
-the substeps change.
+is the latest ratio of two successive corrections of real residuals with
+the same factors. It starts at 0.5, where step refactors and the error is
+|dq| itself, returns there at each refactoring at an iterate and so stays
+in [0, 0.5]; a spectrum refresh keeps it. Newton stalls after
+MAX_NEWTON_ITERS iterations. Like the spectrum's, these are constants:
+StepControls carries only the step size the substeps change.
 
 Cost split of step. Per run (shared through the arguments or cached per
 rod size): the rest configuration with its stiffnesses and lumped masses, and
@@ -63,11 +64,12 @@ elastic force evaluation and two band back-substitutions: one for the
 predicted residual and one for the committed last correction. A step also
 evaluates at q_pred when its carry holds fewer than two forces (the first
 two steps at a dt) or when the predicted start fails; each further Newton
-iteration costs one evaluation and one back-substitution. An evaluation is
-the elastic force and the residual, whose pinned entry is zeroed so its
-norm needs no masked copy. Per refactoring, about once per spectrum: the
-band Jacobian and its LU factors. The NewtonCarry is the only thing kept
-between steps; Integrator keeps it, so Integrator.copy forks a run exactly.
+iteration (none in 400 steps of the truncated N=16 rod at 3 rpm) costs one
+evaluation and one back-substitution. An evaluation is the elastic force and
+the residual, whose pinned entry is zeroed so its norm needs no masked copy.
+Per refactoring, about once per spectrum: the band Jacobian and its LU
+factors. The NewtonCarry is the only thing kept between steps; Integrator
+keeps it, so Integrator.copy forks a run exactly.
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ class NewtonCarry:
     """What one step's Newton solve hands to the next step at the same dt.
 
     factors are the LU factors (lu, piv) of the band Newton matrix
-    J - M/dt^2 (dgbtrf), or None. theta is their latest contraction ratio:
-    a correction's size over the one before it, both solved with these
-    factors for real residuals; None when none has been measured. forces
+    J - M/dt^2 (dgbtrf), or None. theta is the latest contraction ratio:
+    a correction's size over the one before it, both solved with the same
+    factors for real residuals; 0.5 until one is measured. forces
     are the elastic forces that the last one or two steps' balances imply
     at their committed DOFs, oldest first:
     F_n = M (q_n - q_(n-1) - dt v_(n-1)) / dt^2 - f_ext,(n-1). evaluation
@@ -136,7 +138,7 @@ class NewtonCarry:
 
     dt: float
     factors: tuple | None = None
-    theta: float | None = None
+    theta: float = 0.5
     forces: tuple = ()
     evaluation: ElasticEval | None = None
 
@@ -360,13 +362,12 @@ def step(state: RodState, rest: RestConfiguration, params: PhysicalParameters, o
                 theta = size / last
         if factors is None or size >= 0.5 * last:
             # No factors, or old ones that no longer contract: factor here.
-            factors, theta = factor(ev), None
+            factors, theta = factor(ev), 0.5
             dq, size = correction(factors, residual)
         if it > 0:
             # q + dq is off the solution by about theta/(1 - theta) |dq|.
             change = q_new - q_pred
-            eta = 1.0 if theta is None else theta / (1.0 - theta)
-            if eta * size <= NEWTON_STOP * math.sqrt(change @ change):
+            if theta / (1.0 - theta) * size <= NEWTON_STOP * math.sqrt(change @ change):
                 q_new = corrected(q_new, dq)
                 break
 
@@ -413,22 +414,21 @@ class Integrator:
     copy() forks the run: the fork and the original advance and record
     bit-identically.
 
-    Full steps and substeps share the mobility spectrum and step's
-    NewtonCarry. The spectrum, and the carry's LU factors with their
-    contraction ratio, are dropped before every refresh-th step of either
-    size, where refresh = round(MOBILITY_REFRESH / dt) is the step count of
-    MOBILITY_REFRESH seconds at the full step (8 at dt = 5 ms, 40 at 1 ms);
-    the spectrum is rebuilt at once and the factors from the carried
-    evaluation of the last step. In between, step refactors only when the
-    old factors stop contracting. The carry's force history and evaluation
-    survive refreshes. step drops the whole carry when the step size
-    changes, so the first step at a new size neither extrapolates from
-    forces taken at the old one nor uses its factors. A correction that
-    does not lower the residual raises NewtonDivergenceError, which takes
-    the substep retries above. The spectrum and the factors may date from a substep that a
-    failure rolled back, within one step of the current state: inside the
-    drift they tolerate between rebuilds. The force history never does,
-    as a failed step is retried at a smaller size.
+    Full steps and substeps share the mobility spectrum and step's NewtonCarry.
+    The spectrum and the carry's LU factors are dropped before every refresh-th
+    step of either size, where refresh = round(MOBILITY_REFRESH / dt) is the
+    step count of MOBILITY_REFRESH seconds at the full step (8 at dt = 5 ms, 40
+    at 1 ms); the spectrum is rebuilt at once and the factors from the carried
+    evaluation of the last step. In between, step refactors only when the old
+    factors stop contracting. The carry's contraction ratio, force history and
+    evaluation survive refreshes. step drops the whole carry when the step size
+    changes, so the first step at a new size neither extrapolates from forces
+    taken at the old one nor uses its factors. A correction that does not lower
+    the residual raises NewtonDivergenceError, which takes the substep retries
+    above. The spectrum and the factors may date from a substep that a failure
+    rolled back, within one step of the current state: inside the drift they
+    tolerate between rebuilds. The force history never does, as a failed step
+    is retried at a smaller size.
     """
 
     def __init__(self, params: PhysicalParameters, controls: StepControls | None = None,
@@ -444,7 +444,7 @@ class Integrator:
         self.steps = 0
         self.samples: list = []  # (time, x_0, x_1, x_2, omega) per record()
         self._spectrum = None
-        self._newton = None  # step's NewtonCarry; its factors and theta go with _spectrum
+        self._newton = None  # step's NewtonCarry; its factors go with _spectrum
         self._age = 0  # steps attempted, full or sub; a multiple of _refresh rebuilds
         self._recover = 0  # remaining steps to run at half size before retrying full
         self._recover_window = max(int(round(1.0 / self.dt)), 1)
@@ -457,7 +457,7 @@ class Integrator:
     def copy(self) -> "Integrator":
         """An exact fork: state, step count, samples, caches and fallback window.
 
-        The caches are the spectrum and the NewtonCarry: the LU factors, their
+        The caches are the spectrum and the NewtonCarry: the LU factors, the
         contraction ratio, the last evaluation and the force history the next
         step predicts from.
         params, controls and rest are read-only and shared, and so are the
@@ -540,7 +540,7 @@ class Integrator:
                 # Drop both caches; release the old spectrum before building the new one.
                 self._spectrum = None
                 if self._newton is not None:
-                    self._newton = replace(self._newton, factors=None, theta=None)
+                    self._newton = replace(self._newton, factors=None)
                 self._spectrum = mobility_spectrum(state, self.params)
             self._age += 1
             state, diag = step(state, self.rest, self.params, omega, self._spectrum, controls,
